@@ -75,8 +75,11 @@ pub fn is_test_path(path: &str) -> bool {
 /// unsorted map iteration becomes nondeterministic *bytes* — the wire
 /// format, the fit-cache artifact, eval JSON/tables, /metrics
 /// rendering, the response cache / evidence store (whose eviction scan
-/// order decides which stored bytes survive), and the interchange
-/// (`to_parts`/`idf_parts`) layers that feed the artifact encoder.
+/// order decides which stored bytes survive), the interchange
+/// (`to_parts`/`idf_parts`) layers that feed the artifact encoder, and
+/// the CKY parser and its grammar tables (the chart's scan order breaks
+/// score ties, so it decides which tree — and which evidence bytes —
+/// come out).
 pub fn det001_in_scope(path: &str) -> bool {
     const SCOPE: &[&str] = &[
         "crates/serve/src/wire.rs",
@@ -89,6 +92,8 @@ pub fn det001_in_scope(path: &str) -> bool {
         "crates/eval/src/experiments.rs",
         "crates/lm/src/lib.rs",
         "crates/qa/src/model.rs",
+        "crates/parser/src/cky.rs",
+        "crates/parser/src/grammar.rs",
     ];
     SCOPE.contains(&path)
 }
@@ -105,7 +110,9 @@ pub fn det002_in_scope(path: &str) -> bool {
 /// DET003 allowlist: modules whose entire job is timing — the batcher's
 /// flush deadlines, the HTTP read-deadline clock, the gced-obs clock
 /// (the single monotonic-tick source every span/stopwatch reads
-/// through), the criterion compat shim, and the bench harness.
+/// through), the criterion compat shim, and the two bench harnesses
+/// (`crates/bench/` and the end-to-end `perfbench/` package, whose
+/// output *is* wall-clock measurements).
 /// Everywhere else a wall-clock read in a result path would break
 /// replayability.
 pub fn det003_allowed(path: &str) -> bool {
@@ -117,6 +124,7 @@ pub fn det003_allowed(path: &str) -> bool {
     ALLOW.contains(&path)
         || path.starts_with("crates/compat/criterion/")
         || path.starts_with("crates/bench/")
+        || path.starts_with("perfbench/")
 }
 
 /// DET004 allowlist: the seeded-rng compat crate itself.
@@ -146,6 +154,9 @@ mod tests {
 
         assert!(det001_in_scope("crates/serve/src/wire.rs"));
         assert!(det001_in_scope("crates/store/src/lib.rs"));
+        assert!(det001_in_scope("crates/parser/src/cky.rs"));
+        assert!(det001_in_scope("crates/parser/src/grammar.rs"));
+        assert!(!det001_in_scope("crates/parser/src/cache.rs"));
         assert!(!det001_in_scope("crates/serve/src/batch.rs"));
 
         assert!(det002_in_scope("crates/nn/src/attention.rs"));
@@ -156,6 +167,7 @@ mod tests {
         assert!(det003_allowed("crates/serve/src/batch.rs"));
         assert!(det003_allowed("crates/compat/criterion/src/lib.rs"));
         assert!(det003_allowed("crates/obs/src/clock.rs"));
+        assert!(det003_allowed("perfbench/src/offline.rs"));
         assert!(!det003_allowed("crates/obs/src/lib.rs"));
         assert!(!det003_allowed("crates/core/src/lib.rs"));
 

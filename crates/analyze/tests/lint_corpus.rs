@@ -68,6 +68,37 @@ const CORPUS: &[Case] = &[
                    }\n",
     },
     Case {
+        // Third DET001 site: the CKY chart. Picking a cell's best symbol
+        // by walking a HashMap breaks exact score ties in hash order, so
+        // the parse tree (and every evidence byte after it) varies by
+        // process. Walking the occupancy mask's set bits is canonical.
+        lint: "DET001",
+        path: "crates/parser/src/cky.rs",
+        positive: "use std::collections::HashMap;\n\
+                   fn goal(cell: &HashMap<u8, f64>) -> Option<u8> {\n\
+                       let mut best: Option<(u8, f64)> = None;\n\
+                       for (&sym, &score) in cell {\n\
+                           if best.map_or(true, |(_, b)| score > b) {\n\
+                               best = Some((sym, score));\n\
+                           }\n\
+                       }\n\
+                       best.map(|(sym, _)| sym)\n\
+                   }\n",
+        negative: "fn goal(mask: u32, score: &[f64; 18]) -> Option<usize> {\n\
+                       // Set bits lowest first: ties go to the lowest symbol.\n\
+                       let mut best: Option<usize> = None;\n\
+                       let mut m = mask;\n\
+                       while m != 0 {\n\
+                           let sym = m.trailing_zeros() as usize;\n\
+                           m &= m - 1;\n\
+                           if best.map_or(true, |b| score[sym] > score[b]) {\n\
+                               best = Some(sym);\n\
+                           }\n\
+                       }\n\
+                       best\n\
+                   }\n",
+    },
+    Case {
         lint: "DET002",
         path: "crates/nn/src/embedding.rs",
         positive: "fn dot(a: &[f32], b: &[f32]) -> f32 {\n\

@@ -6,28 +6,131 @@
 //! from the grammar and re-attached afterwards, and out-of-grammar or
 //! over-long inputs fall back to a right-branching tree rather than
 //! failing (GCED must distill *something* for every context).
+//!
+//! ## Chart layout
+//!
+//! The grammar arrives compiled ([`crate::grammar`]'s tables: rules
+//! addressed by symbol index, `ln(prob)` precomputed). The chart is
+//! triangular — one cell per span, `n(n+1)/2` in all, stored width-major
+//! so a cell is pushed right after its last sub-span — and each cell
+//! holds `[f64; 18]` scores, `u32`-packed back-pointers and a `u32`
+//! occupancy mask over the 18 symbols. A split skips empty sub-cells and
+//! walks only the set bits of the left mask; for each left symbol it
+//! scans that symbol's binary rules and checks the right mask. About
+//! 224 bytes a cell, so a 72-token chart is under 600 KB.
+//!
+//! ## Tie rule
+//!
+//! Candidates for one cell are visited split ascending, then left symbol
+//! ascending, then right symbol ascending, then rule declaration order;
+//! a strictly better score replaces, so on an exact tie the first
+//! candidate wins. Every score is `(left + right) + ln(rule)`, summed in
+//! that order. The unary closure scans the unary rules in declaration
+//! order until nothing improves. The goal is `TOP` when it spans the
+//! input, else the best-scoring full-span symbol, the lowest [`Symbol`]
+//! on a tie. So the tree is a function of the tags alone.
+//!
+//! ## Length cutoff
+//!
+//! `max_len` stays 72 kept tokens. CKY is O(n³) in time and the chart
+//! O(n²) in memory, and raising the cutoff would route today's
+//! right-branching fallbacks (about a fifth of the long run-on sentences
+//! in TriviaQA-web-style contexts) through the grammar, changing their
+//! trees and with them every downstream evidence byte.
 
 use crate::cache::{ParseCache, ParseCacheStats};
 use crate::dep::DepTree;
 use crate::grammar::{Grammar, HeadSide, Symbol};
 use crate::tree::{ConstNode, ConstTree};
 use gced_text::{Pos, Token};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Back-pointer for chart entries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Back {
-    /// Preterminal over one token.
-    Term,
-    /// Unary rewrite from another symbol in the same cell.
-    Unary(Symbol),
-    /// Binary combination: split point, child symbols, head side.
-    Binary(usize, Symbol, Symbol, HeadSide),
+/// Packed back-pointer kinds (bits 30..32). A preterminal is `0`; a
+/// unary keeps its child symbol in the low bits; a binary keeps its rule
+/// index in bits 0..16 and its split (the left child's width) in bits
+/// 16..30.
+const BACK_UNARY: u32 = 1 << 30;
+const BACK_BINARY: u32 = 2 << 30;
+const BACK_KIND: u32 = 3 << 30;
+
+/// Longest input whose splits fit the 14-bit split field.
+const MAX_CHART_LEN: usize = 1 << 14;
+
+// The occupancy mask has one bit per symbol.
+const _: () = assert!(Symbol::COUNT <= 32);
+
+/// One chart cell: best score and back-pointer per symbol, valid where
+/// `mask` has the symbol's bit.
+#[derive(Clone, Copy)]
+struct ChartCell {
+    score: [f64; Symbol::COUNT],
+    back: [u32; Symbol::COUNT],
+    mask: u32,
 }
 
-/// One chart cell: best (log-prob, back-pointer) per symbol.
-type Cell = HashMap<Symbol, (f64, Back)>;
+impl ChartCell {
+    const EMPTY: ChartCell = ChartCell {
+        score: [0.0; Symbol::COUNT],
+        back: [0; Symbol::COUNT],
+        mask: 0,
+    };
+
+    /// Keep `score` for `sym` unless the cell already holds at least as
+    /// good a score. Returns whether it replaced.
+    fn offer(&mut self, sym: usize, score: f64, back: u32) -> bool {
+        let bit = 1 << sym;
+        if self.mask & bit != 0 && self.score[sym] >= score {
+            return false;
+        }
+        self.mask |= bit;
+        self.score[sym] = score;
+        self.back[sym] = back;
+        true
+    }
+}
+
+/// The triangular chart over `n` tokens: cells stored width-major, so
+/// every cell is pushed after all of its sub-spans.
+struct Chart {
+    n: usize,
+    cells: Vec<ChartCell>,
+}
+
+impl Chart {
+    fn new(n: usize) -> Self {
+        Chart {
+            n,
+            cells: Vec::with_capacity(n * (n + 1) / 2),
+        }
+    }
+
+    /// Index of the span `start..start + width`.
+    fn index(&self, start: usize, width: usize) -> usize {
+        let w = width - 1;
+        w * (self.n + 1) - w * (w + 1) / 2 + start
+    }
+
+    fn at(&self, start: usize, width: usize) -> &ChartCell {
+        &self.cells[self.index(start, width)]
+    }
+
+    /// Append the next cell in width-major order.
+    fn push(&mut self, start: usize, width: usize, cell: ChartCell) {
+        debug_assert_eq!(self.cells.len(), self.index(start, width));
+        self.cells.push(cell);
+    }
+}
+
+/// Set bits of `mask`, lowest first.
+fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let b = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            b
+        })
+    })
+}
 
 /// A CKY parser over a fixed grammar.
 #[derive(Debug, Clone)]
@@ -94,66 +197,65 @@ impl CkyParser {
     /// the input, or the input is empty/over-long.
     pub fn parse_constituency(&self, tags: &[Pos]) -> Option<ConstTree> {
         let n = tags.len();
-        if n == 0 || n > self.max_len {
+        if n == 0 || n > self.max_len || n > MAX_CHART_LEN {
             return None;
         }
-        // chart[i][j] spans tokens i..=i+j (j = width-1).
-        let mut chart: Vec<Vec<Cell>> = vec![vec![Cell::new(); n]; n];
+        let tables = self.grammar.tables();
+        let mut chart = Chart::new(n);
         for (i, &pos) in tags.iter().enumerate() {
-            let mut cell = Cell::new();
-            for r in self.grammar.rules_for_pos(pos) {
-                let lp = r.prob.ln();
-                match cell.get(&r.lhs) {
-                    Some(&(best, _)) if best >= lp => {}
-                    _ => {
-                        cell.insert(r.lhs, (lp, Back::Term));
-                    }
-                }
+            let mut cell = ChartCell::EMPTY;
+            for &(lhs, lp) in &tables.preterm[pos as usize] {
+                cell.offer(lhs, lp, 0);
             }
             self.unary_closure(&mut cell);
-            chart[i][0] = cell;
+            chart.push(i, 1, cell);
         }
         for width in 2..=n {
             for start in 0..=(n - width) {
-                let mut cell = Cell::new();
+                let mut cell = ChartCell::EMPTY;
                 for split in 1..width {
-                    // Clone the (small) left/right views to appease the
-                    // borrow checker; cells hold a handful of symbols.
-                    let left = chart[start][split - 1].clone();
-                    let right = chart[start + split][width - split - 1].clone();
-                    for (&ls, &(lp, _)) in &left {
-                        for (&rs, &(rp, _)) in &right {
-                            for rule in self.grammar.rules_for_children(ls, rs) {
-                                let score = lp + rp + rule.prob.ln();
-                                match cell.get(&rule.lhs) {
-                                    Some(&(best, _)) if best >= score => {}
-                                    _ => {
-                                        cell.insert(
-                                            rule.lhs,
-                                            (score, Back::Binary(start + split, ls, rs, rule.head)),
-                                        );
-                                    }
-                                }
+                    let left = chart.at(start, split);
+                    let right = chart.at(start + split, width - split);
+                    if right.mask == 0 {
+                        continue;
+                    }
+                    let split_bits = (split as u32) << 16;
+                    for ls in bits(left.mask) {
+                        if tables.rights[ls] & right.mask == 0 {
+                            continue;
+                        }
+                        let lp = left.score[ls];
+                        for rule in &tables.by_left[ls] {
+                            if right.mask & (1 << rule.right) == 0 {
+                                continue;
                             }
+                            let score = lp + right.score[rule.right] + rule.lp;
+                            let back = BACK_BINARY | split_bits | u32::from(rule.rule);
+                            cell.offer(rule.lhs, score, back);
                         }
                     }
                 }
                 self.unary_closure(&mut cell);
-                chart[start][width - 1] = cell;
+                chart.push(start, width, cell);
             }
         }
-        let top_cell = &chart[0][n - 1];
-        // Prefer TOP; otherwise the best-scoring full-span symbol.
-        let goal = if top_cell.contains_key(&Symbol::Top) {
-            Symbol::Top
+        let top_cell = chart.at(0, n);
+        // Prefer TOP; otherwise the best-scoring full-span symbol, the
+        // lowest symbol on a tie.
+        let top = Symbol::Top.index();
+        let goal = if top_cell.mask & (1 << top) != 0 {
+            top
         } else {
-            *top_cell
-                .iter()
-                .max_by(|a, b| a.1 .0.partial_cmp(&b.1 .0).expect("no NaN scores"))?
-                .0
+            let mut best: Option<usize> = None;
+            for s in bits(top_cell.mask) {
+                if best.is_none_or(|b| top_cell.score[s] > top_cell.score[b]) {
+                    best = Some(s);
+                }
+            }
+            best?
         };
         let mut nodes = Vec::new();
-        let root = self.extract(&chart, tags, 0, n - 1, goal, &mut nodes);
+        let root = self.extract(&chart, tags, 0, n, goal, &mut nodes);
         let tree = ConstTree::new(nodes, root, n);
         debug_assert!(tree.validate().is_ok(), "CKY produced invalid tree");
         Some(tree)
@@ -161,19 +263,14 @@ impl CkyParser {
 
     /// Apply unary rules to a fixed point (grammar unaries are acyclic in
     /// probability: a rewrite is only taken when it improves the score).
-    fn unary_closure(&self, cell: &mut Cell) {
+    fn unary_closure(&self, cell: &mut ChartCell) {
+        let unary = &self.grammar.tables().unary;
         loop {
             let mut changed = false;
-            for r in self.grammar.unary_rules() {
-                if let Some(&(child_score, _)) = cell.get(&r.child) {
-                    let score = child_score + r.prob.ln();
-                    match cell.get(&r.lhs) {
-                        Some(&(best, _)) if best >= score => {}
-                        _ => {
-                            cell.insert(r.lhs, (score, Back::Unary(r.child)));
-                            changed = true;
-                        }
-                    }
+            for r in unary {
+                if cell.mask & (1 << r.child) != 0 {
+                    let score = cell.score[r.child] + r.lp;
+                    changed |= cell.offer(r.lhs, score, BACK_UNARY | r.child as u32);
                 }
             }
             if !changed {
@@ -185,55 +282,47 @@ impl CkyParser {
     /// Rebuild the tree from back-pointers; returns the arena id.
     fn extract(
         &self,
-        chart: &[Vec<Cell>],
+        chart: &Chart,
         tags: &[Pos],
         start: usize,
-        width_m1: usize,
-        sym: Symbol,
+        width: usize,
+        sym: usize,
         nodes: &mut Vec<ConstNode>,
     ) -> usize {
-        let (_, back) = chart[start][width_m1][&sym];
-        match back {
-            Back::Term => {
+        let back = chart.at(start, width).back[sym];
+        let label = Symbol::ALL[sym];
+        let (children, head) = match back & BACK_KIND {
+            BACK_UNARY => {
+                let child = (back & !BACK_KIND) as usize;
+                let c = self.extract(chart, tags, start, width, child, nodes);
+                (vec![c], head_of_node(nodes, c))
+            }
+            BACK_BINARY => {
+                let split = ((back & !BACK_KIND) >> 16) as usize;
+                let rule = self.grammar.binary_rules()[(back & 0xffff) as usize];
+                let l = self.extract(chart, tags, start, split, rule.left.index(), nodes);
+                let (rs, rw) = (start + split, width - split);
+                let r = self.extract(chart, tags, rs, rw, rule.right.index(), nodes);
+                let head = match rule.head {
+                    HeadSide::Left => head_of_node(nodes, l),
+                    HeadSide::Right => head_of_node(nodes, r),
+                };
+                (vec![l, r], head)
+            }
+            _ => {
                 nodes.push(ConstNode::Leaf {
                     token: start,
                     pos: tags[start],
                 });
-                let leaf = nodes.len() - 1;
-                nodes.push(ConstNode::Internal {
-                    label: sym,
-                    children: vec![leaf],
-                    head: start,
-                });
-                nodes.len() - 1
+                (vec![nodes.len() - 1], start)
             }
-            Back::Unary(child) => {
-                let c = self.extract(chart, tags, start, width_m1, child, nodes);
-                let head = head_of_node(nodes, c);
-                nodes.push(ConstNode::Internal {
-                    label: sym,
-                    children: vec![c],
-                    head,
-                });
-                nodes.len() - 1
-            }
-            Back::Binary(split, ls, rs, head_side) => {
-                let lw = split - start - 1;
-                let rw = width_m1 - (split - start);
-                let l = self.extract(chart, tags, start, lw, ls, nodes);
-                let r = self.extract(chart, tags, split, rw, rs, nodes);
-                let head = match head_side {
-                    HeadSide::Left => head_of_node(nodes, l),
-                    HeadSide::Right => head_of_node(nodes, r),
-                };
-                nodes.push(ConstNode::Internal {
-                    label: sym,
-                    children: vec![l, r],
-                    head,
-                });
-                nodes.len() - 1
-            }
-        }
+        };
+        nodes.push(ConstNode::Internal {
+            label,
+            children,
+            head,
+        });
+        nodes.len() - 1
     }
 
     /// Total parse of a token slice into a dependency tree over local
@@ -503,10 +592,197 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
+    /// Two preterminals of one POS with equal weight feed one binary
+    /// LHS, so `S -> Np Np` and `S -> Vp Vp` tie exactly over
+    /// "Noun Noun", and `Np`/`Vp` tie as goals over a lone "Noun".
+    fn tie_grammar() -> Grammar {
+        use crate::grammar::GrammarBuilder;
+        let mut g = GrammarBuilder::new();
+        g.preterm(Symbol::Np, Pos::Noun, 1.0);
+        g.preterm(Symbol::Vp, Pos::Noun, 1.0);
+        g.binary(Symbol::S, Symbol::Vp, Symbol::Vp, 1.0, HeadSide::Right);
+        g.binary(Symbol::S, Symbol::Np, Symbol::Np, 1.0, HeadSide::Left);
+        g.build()
+    }
+
+    #[test]
+    fn exact_ties_resolve_canonically() {
+        let tags = [Pos::Noun, Pos::Noun];
+        let first = CkyParser::new(tie_grammar())
+            .parse_constituency(&tags)
+            .expect("S spans the input");
+        // Left symbol ascending: Np < Vp, so `S -> Np Np` (head left)
+        // wins although `S -> Vp Vp` was declared first.
+        let labels = |t: &ConstTree| -> Vec<&'static str> {
+            (0..t.node_count())
+                .filter_map(|id| match t.node(id) {
+                    ConstNode::Internal { label, .. } => Some(label.label()),
+                    ConstNode::Leaf { .. } => None,
+                })
+                .collect()
+        };
+        assert_eq!(labels(&first), ["NP", "NP", "S"]);
+        assert_eq!(first.head_of(first.root()), 0);
+        // Goal tie over one token: the lowest symbol (Np) wins.
+        let lone = CkyParser::new(tie_grammar())
+            .parse_constituency(&[Pos::Noun])
+            .expect("a full-span symbol exists");
+        assert_eq!(labels(&lone), ["NP"]);
+        for _ in 0..100 {
+            let parser = CkyParser::new(tie_grammar());
+            assert_eq!(parser.parse_constituency(&tags).as_ref(), Some(&first));
+            assert_eq!(
+                reference::parse(parser.grammar(), &tags).as_ref(),
+                Some(&first)
+            );
+            assert_eq!(
+                parser.parse_constituency(&[Pos::Noun]).as_ref(),
+                Some(&lone)
+            );
+        }
+    }
+
     #[test]
     fn zero_capacity_disables_cache() {
         let parser = CkyParser::embedded().with_parse_cache(0);
         assert!(parser.parse_cache_stats().is_none());
+    }
+}
+
+/// The pre-dense chart, kept as a test oracle: one `BTreeMap` cell per
+/// span and a linear rule scan per symbol pair. BTreeMap iteration visits
+/// symbols in `Ord` order, so this chart walks candidates in exactly the
+/// canonical tie order the module docs define, with none of the dense
+/// chart's tables, masks or packing.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    #[derive(Debug, Clone, Copy)]
+    enum Back {
+        Term,
+        Unary(Symbol),
+        /// Absolute split position, child symbols, head side.
+        Binary(usize, Symbol, Symbol, HeadSide),
+    }
+
+    type Cell = BTreeMap<Symbol, (f64, Back)>;
+
+    fn offer(cell: &mut Cell, sym: Symbol, score: f64, back: Back) -> bool {
+        match cell.get(&sym) {
+            Some(&(best, _)) if best >= score => false,
+            _ => {
+                cell.insert(sym, (score, back));
+                true
+            }
+        }
+    }
+
+    fn unary_closure(grammar: &Grammar, cell: &mut Cell) {
+        loop {
+            let mut changed = false;
+            for r in grammar.unary_rules() {
+                if let Some(&(child_score, _)) = cell.get(&r.child) {
+                    changed |= offer(cell, r.lhs, child_score + r.prob.ln(), Back::Unary(r.child));
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+
+    /// Viterbi parse of `tags` (no length cutoff).
+    pub fn parse(grammar: &Grammar, tags: &[Pos]) -> Option<ConstTree> {
+        let n = tags.len();
+        if n == 0 {
+            return None;
+        }
+        // chart[i][j] spans tokens i..=i+j (j = width-1).
+        let mut chart: Vec<Vec<Cell>> = vec![vec![Cell::new(); n]; n];
+        for (i, &pos) in tags.iter().enumerate() {
+            let mut cell = Cell::new();
+            for r in grammar.preterminal_rules().iter().filter(|r| r.pos == pos) {
+                offer(&mut cell, r.lhs, r.prob.ln(), Back::Term);
+            }
+            unary_closure(grammar, &mut cell);
+            chart[i][0] = cell;
+        }
+        for width in 2..=n {
+            for start in 0..=(n - width) {
+                let mut cell = Cell::new();
+                for split in 1..width {
+                    let left = &chart[start][split - 1];
+                    let right = &chart[start + split][width - split - 1];
+                    for (&ls, &(lp, _)) in left {
+                        for (&rs, &(rp, _)) in right {
+                            for rule in grammar.binary_rules() {
+                                if (rule.left, rule.right) == (ls, rs) {
+                                    let back = Back::Binary(start + split, ls, rs, rule.head);
+                                    offer(&mut cell, rule.lhs, lp + rp + rule.prob.ln(), back);
+                                }
+                            }
+                        }
+                    }
+                }
+                unary_closure(grammar, &mut cell);
+                chart[start][width - 1] = cell;
+            }
+        }
+        let top_cell = &chart[0][n - 1];
+        let goal = if top_cell.contains_key(&Symbol::Top) {
+            Symbol::Top
+        } else {
+            let mut best: Option<(Symbol, f64)> = None;
+            for (&s, &(score, _)) in top_cell {
+                if best.is_none_or(|(_, b)| score > b) {
+                    best = Some((s, score));
+                }
+            }
+            best?.0
+        };
+        let mut nodes = Vec::new();
+        let root = extract(&chart, tags, 0, n - 1, goal, &mut nodes);
+        Some(ConstTree::new(nodes, root, n))
+    }
+
+    fn extract(
+        chart: &[Vec<Cell>],
+        tags: &[Pos],
+        start: usize,
+        width_m1: usize,
+        sym: Symbol,
+        nodes: &mut Vec<ConstNode>,
+    ) -> usize {
+        let (children, head) = match chart[start][width_m1][&sym].1 {
+            Back::Term => {
+                nodes.push(ConstNode::Leaf {
+                    token: start,
+                    pos: tags[start],
+                });
+                (vec![nodes.len() - 1], start)
+            }
+            Back::Unary(child) => {
+                let c = extract(chart, tags, start, width_m1, child, nodes);
+                (vec![c], head_of_node(nodes, c))
+            }
+            Back::Binary(split, ls, rs, head_side) => {
+                let l = extract(chart, tags, start, split - start - 1, ls, nodes);
+                let r = extract(chart, tags, split, width_m1 - (split - start), rs, nodes);
+                let head = match head_side {
+                    HeadSide::Left => head_of_node(nodes, l),
+                    HeadSide::Right => head_of_node(nodes, r),
+                };
+                (vec![l, r], head)
+            }
+        };
+        nodes.push(ConstNode::Internal {
+            label: sym,
+            children,
+            head,
+        });
+        nodes.len() - 1
     }
 }
 
@@ -522,7 +798,93 @@ mod proptests {
         ])
     }
 
+    /// Tag sequences of length 1..=24 built from phrase-shaped chunks,
+    /// so a good share parse to `TOP`, with lone odd tags (one a Punct)
+    /// keeping the partial and unparseable paths in the mix.
+    fn tags() -> impl Strategy<Value = Vec<Pos>> {
+        use Pos::*;
+        let chunks: Vec<Vec<Pos>> = vec![
+            vec![Det, Noun],
+            vec![Det, Adj, Noun],
+            vec![ProperNoun],
+            vec![ProperNoun, ProperNoun],
+            vec![Pronoun],
+            vec![Noun],
+            vec![Num, Noun],
+            vec![Verb],
+            vec![Verb, Det, Noun],
+            vec![Aux, Verb],
+            vec![Aux, Adj],
+            vec![Prep, Det, Noun],
+            vec![Prep, ProperNoun],
+            vec![Conj],
+            vec![Adv],
+            vec![Adj],
+            vec![Wh],
+            vec![Other],
+            vec![Punct],
+        ];
+        prop::collection::vec(prop::sample::select(chunks), 1..13).prop_map(|cs| {
+            let mut tags: Vec<Pos> = cs.concat();
+            tags.truncate(24);
+            tags
+        })
+    }
+
+    /// A small random grammar over five symbols and three tags with
+    /// weights in 1..=2, so exact score ties are everywhere. Each code
+    /// picks a rule kind, its symbols and its weight.
+    fn tie_heavy_grammar(codes: &[u32]) -> Grammar {
+        use crate::grammar::GrammarBuilder;
+        let sym = |c: u32| Symbol::ALL[(c % 5) as usize];
+        let pos = |c: u32| [Pos::Noun, Pos::Verb, Pos::Det][(c % 3) as usize];
+        let mut g = GrammarBuilder::new();
+        for &c in codes {
+            let w = f64::from(1 + (c >> 20) % 2);
+            let head = if (c >> 21) % 2 == 0 {
+                HeadSide::Left
+            } else {
+                HeadSide::Right
+            };
+            match c % 4 {
+                0 => g.preterm(sym(c >> 2), pos(c >> 5), w),
+                1 => g.unary(sym(c >> 2), sym(c >> 5), w),
+                _ => g.binary(sym(c >> 2), sym(c >> 5), sym(c >> 8), w, head),
+            };
+        }
+        g.build()
+    }
+
     proptest! {
+        /// The dense chart builds exactly the tree of the BTreeMap
+        /// reference chart, over the English grammar.
+        #[test]
+        fn dense_matches_reference(tags in tags()) {
+            let parser = CkyParser::embedded();
+            prop_assert_eq!(
+                parser.parse_constituency(&tags),
+                reference::parse(parser.grammar(), &tags)
+            );
+        }
+
+        /// Same, over random tie-heavy grammars: the canonical tie rule
+        /// holds, not just the English grammar's lack of ties.
+        #[test]
+        fn dense_matches_reference_on_tie_heavy_grammars(
+            codes in prop::collection::vec(0u32..(1 << 22), 4..40),
+            tag_codes in prop::collection::vec(0u32..3, 1..13),
+        ) {
+            let parser = CkyParser::new(tie_heavy_grammar(&codes));
+            let tags: Vec<Pos> = tag_codes
+                .iter()
+                .map(|&c| [Pos::Noun, Pos::Verb, Pos::Det][c as usize])
+                .collect();
+            prop_assert_eq!(
+                parser.parse_constituency(&tags),
+                reference::parse(parser.grammar(), &tags)
+            );
+        }
+
         /// parse_tokens is total: any word soup yields a valid dependency
         /// tree covering every token.
         #[test]

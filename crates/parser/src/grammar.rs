@@ -8,10 +8,14 @@
 //!   the dependency extraction of Sec. III-D consumes.
 //!
 //! Rule weights are relative; [`GrammarBuilder::build`] normalizes them
-//! into probabilities per left-hand side.
+//! into probabilities per left-hand side and compiles them once into
+//! chart tables: symbol- and POS-indexed rule lists with precomputed
+//! `ln(prob)`, the form the dense CKY chart reads.
 
 use gced_text::Pos;
-use std::collections::HashMap;
+
+/// Number of [`Pos`] variants (the preterminal table's length).
+const POS_COUNT: usize = Pos::Other as usize + 1;
 
 /// Grammar nonterminal symbols (plus the goal symbol `Top`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -55,6 +59,36 @@ pub enum Symbol {
 }
 
 impl Symbol {
+    /// Number of symbols: the width of a dense chart cell.
+    pub const COUNT: usize = Symbol::Num as usize + 1;
+
+    /// Every symbol, in declaration (and `Ord`) order: `ALL[s.index()] == s`.
+    pub const ALL: [Symbol; Symbol::COUNT] = [
+        Symbol::Top,
+        Symbol::S,
+        Symbol::Np,
+        Symbol::Nbar,
+        Symbol::N,
+        Symbol::Vp,
+        Symbol::V,
+        Symbol::Aux,
+        Symbol::Pp,
+        Symbol::In,
+        Symbol::Adjp,
+        Symbol::Advp,
+        Symbol::Dt,
+        Symbol::CcNp,
+        Symbol::CcVp,
+        Symbol::CcS,
+        Symbol::Cc,
+        Symbol::Num,
+    ];
+
+    /// Dense index in `0..COUNT`, ordered like `Ord`.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Short label for tree rendering.
     pub fn label(self) -> &'static str {
         match self {
@@ -115,16 +149,89 @@ pub struct BinaryRule {
     pub head: HeadSide,
 }
 
-/// A normalized, indexed PCFG.
+/// A normalized PCFG plus its compiled chart tables.
 #[derive(Debug, Clone)]
 pub struct Grammar {
     preterm: Vec<PretermRule>,
     unary: Vec<UnaryRule>,
     binary: Vec<BinaryRule>,
-    /// pos -> rules producing it (for CKY initialization).
-    by_pos: HashMap<Pos, Vec<PretermRule>>,
-    /// (left, right) -> binary rules (for CKY combination).
-    by_children: HashMap<(Symbol, Symbol), Vec<BinaryRule>>,
+    tables: Tables,
+}
+
+/// A unary rule compiled for the chart.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DenseUnary {
+    pub lhs: usize,
+    pub child: usize,
+    pub lp: f64,
+}
+
+/// A binary rule compiled for the chart, filed under its left child.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DenseBinary {
+    pub lhs: usize,
+    pub right: usize,
+    pub lp: f64,
+    /// Index into [`Grammar::binary_rules`] (the chart's back-pointer).
+    pub rule: u16,
+}
+
+/// The grammar compiled once for the dense CKY chart. Symbols are
+/// [`Symbol::index`] values and every `lp` is `prob.ln()` of the
+/// normalized rule, so the chart never hashes and never calls `ln`.
+#[derive(Debug, Clone)]
+pub(crate) struct Tables {
+    /// Per [`Pos`] index: `(lhs, lp)` of its preterminal rules, in
+    /// declaration order.
+    pub preterm: Vec<Vec<(usize, f64)>>,
+    /// Unary rules in declaration order (the closure's scan order).
+    pub unary: Vec<DenseUnary>,
+    /// Per left-child index: its binary rules sorted by right child,
+    /// then declaration order (the chart's canonical tie order).
+    pub by_left: Vec<Vec<DenseBinary>>,
+    /// Per left-child index: the set of right children it combines
+    /// with, as a symbol bitmask.
+    pub rights: Vec<u32>,
+}
+
+impl Tables {
+    fn compile(preterm: &[PretermRule], unary: &[UnaryRule], binary: &[BinaryRule]) -> Tables {
+        let mut tables = Tables {
+            preterm: vec![Vec::new(); POS_COUNT],
+            unary: unary
+                .iter()
+                .map(|r| DenseUnary {
+                    lhs: r.lhs.index(),
+                    child: r.child.index(),
+                    lp: r.prob.ln(),
+                })
+                .collect(),
+            by_left: vec![Vec::new(); Symbol::COUNT],
+            rights: vec![0; Symbol::COUNT],
+        };
+        for r in preterm {
+            tables.preterm[r.pos as usize].push((r.lhs.index(), r.prob.ln()));
+        }
+        assert!(
+            binary.len() <= usize::from(u16::MAX),
+            "too many binary rules"
+        );
+        for (i, r) in binary.iter().enumerate() {
+            let left = r.left.index();
+            tables.by_left[left].push(DenseBinary {
+                lhs: r.lhs.index(),
+                right: r.right.index(),
+                lp: r.prob.ln(),
+                rule: i as u16,
+            });
+            tables.rights[left] |= 1 << r.right.index();
+        }
+        for rules in &mut tables.by_left {
+            // Stable: equal right children keep declaration order.
+            rules.sort_by_key(|r| r.right);
+        }
+        tables
+    }
 }
 
 impl Grammar {
@@ -143,17 +250,9 @@ impl Grammar {
         &self.binary
     }
 
-    /// Preterminal rules that yield `pos`.
-    pub fn rules_for_pos(&self, pos: Pos) -> &[PretermRule] {
-        self.by_pos.get(&pos).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Binary rules over a `(left, right)` child pair.
-    pub fn rules_for_children(&self, left: Symbol, right: Symbol) -> &[BinaryRule] {
-        self.by_children
-            .get(&(left, right))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// The compiled chart tables.
+    pub(crate) fn tables(&self) -> &Tables {
+        &self.tables
     }
 
     /// The embedded English grammar used throughout the reproduction.
@@ -280,19 +379,20 @@ impl GrammarBuilder {
         self
     }
 
-    /// Normalize weights per LHS (across all three rule kinds) and index.
+    /// Normalize weights per LHS (across all three rule kinds) and
+    /// compile the chart tables.
     pub fn build(&self) -> Grammar {
-        let mut totals: HashMap<Symbol, f64> = HashMap::new();
+        let mut totals = [0.0f64; Symbol::COUNT];
         for r in &self.preterm {
-            *totals.entry(r.lhs).or_insert(0.0) += r.prob;
+            totals[r.lhs.index()] += r.prob;
         }
         for r in &self.unary {
-            *totals.entry(r.lhs).or_insert(0.0) += r.prob;
+            totals[r.lhs.index()] += r.prob;
         }
         for r in &self.binary {
-            *totals.entry(r.lhs).or_insert(0.0) += r.prob;
+            totals[r.lhs.index()] += r.prob;
         }
-        let norm = |lhs: Symbol, p: f64| p / totals[&lhs];
+        let norm = |lhs: Symbol, p: f64| p / totals[lhs.index()];
 
         let preterm: Vec<PretermRule> = self
             .preterm
@@ -319,20 +419,12 @@ impl GrammarBuilder {
             })
             .collect();
 
-        let mut by_pos: HashMap<Pos, Vec<PretermRule>> = HashMap::new();
-        for r in &preterm {
-            by_pos.entry(r.pos).or_default().push(*r);
-        }
-        let mut by_children: HashMap<(Symbol, Symbol), Vec<BinaryRule>> = HashMap::new();
-        for r in &binary {
-            by_children.entry((r.left, r.right)).or_default().push(*r);
-        }
+        let tables = Tables::compile(&preterm, &unary, &binary);
         Grammar {
             preterm,
             unary,
             binary,
-            by_pos,
-            by_children,
+            tables,
         }
     }
 }
@@ -340,6 +432,7 @@ impl GrammarBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn english_grammar_normalizes_per_lhs() {
@@ -360,7 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn pos_index_covers_open_classes() {
+    fn pos_table_covers_open_classes() {
         let g = Grammar::english();
         for pos in [
             Pos::Noun,
@@ -371,17 +464,45 @@ mod tests {
             Pos::Det,
             Pos::Prep,
         ] {
-            assert!(!g.rules_for_pos(pos).is_empty(), "{pos:?} unproducible");
+            assert!(
+                !g.tables().preterm[pos as usize].is_empty(),
+                "{pos:?} unproducible"
+            );
         }
+        assert!(g.tables().preterm[Pos::Punct as usize].is_empty());
     }
 
     #[test]
-    fn children_index_finds_s_rule() {
+    fn left_table_finds_s_rule() {
         let g = Grammar::english();
-        let rules = g.rules_for_children(Symbol::Np, Symbol::Vp);
-        assert!(rules
-            .iter()
-            .any(|r| r.lhs == Symbol::S && r.head == HeadSide::Right));
+        let t = g.tables();
+        let np = Symbol::Np.index();
+        assert_ne!(t.rights[np] & (1 << Symbol::Vp.index()), 0);
+        assert!(t.by_left[np].iter().any(|r| {
+            let rule = g.binary_rules()[usize::from(r.rule)];
+            r.right == Symbol::Vp.index()
+                && r.lhs == Symbol::S.index()
+                && (rule.left, rule.right, rule.head) == (Symbol::Np, Symbol::Vp, HeadSide::Right)
+                && r.lp == rule.prob.ln()
+        }));
+    }
+
+    #[test]
+    fn symbol_index_round_trips_in_ord_order() {
+        for (i, s) in Symbol::ALL.iter().enumerate() {
+            assert_eq!(s.index(), i);
+        }
+        assert!(Symbol::ALL.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn left_tables_sort_by_right_then_declaration() {
+        let g = Grammar::english();
+        for rules in &g.tables().by_left {
+            assert!(rules
+                .windows(2)
+                .all(|w| (w[0].right, w[0].rule) < (w[1].right, w[1].rule)));
+        }
     }
 
     #[test]
