@@ -23,7 +23,10 @@
 //!
 //! A panic inside a claimed task is caught on the worker, recorded, and
 //! re-raised on the posting thread as `"par_map worker panicked: …"`
-//! after every sibling finished. Workers survive task panics, the pool
+//! after every sibling finished. A job that runs on the caller alone
+//! (busy pool, or no worker to spare) keeps the same contract, so the
+//! message never depends on pool contention; a nested map's panic is
+//! not prefixed twice. Workers survive task panics, the pool
 //! stays usable, and `Drop` joins every worker unconditionally — no
 //! leaked threads even when jobs panicked (see the regression tests).
 //!
@@ -144,10 +147,7 @@ impl WorkerPool {
     fn execute(&self, extra: usize, task: &(dyn Fn() + Sync)) {
         let guard = match self.poster.try_lock() {
             Ok(g) => g,
-            Err(TryLockError::WouldBlock) => {
-                task();
-                return;
-            }
+            Err(TryLockError::WouldBlock) => return run_inline(task),
             // A previous poster panicked with the guard held. The data
             // under this mutex is `()` — nothing to repair — so clear
             // the poison and keep serializing posters instead of
@@ -156,8 +156,7 @@ impl WorkerPool {
         };
         let extra = extra.min(self.handles.len());
         if extra == 0 {
-            task();
-            return;
+            return run_inline(task);
         }
         // SAFETY: lifetime erasure only — the poster blocks in this call
         // until `running == 0`, so the borrow outlives every worker's
@@ -188,10 +187,10 @@ impl WorkerPool {
         drop(st);
         drop(guard);
         if let Err(payload) = own {
-            panic!("par_map worker panicked: {}", panic_text(&payload));
+            repanic(panic_text(&*payload));
         }
         if let Some(msg) = worker_panic {
-            panic!("par_map worker panicked: {msg}");
+            repanic(msg);
         }
     }
 
@@ -294,7 +293,7 @@ fn worker_loop(shared: &Shared) {
             st = shared.lock_state();
             st.running -= 1;
             if let Err(payload) = result {
-                st.panic_msg.get_or_insert_with(|| panic_text(&payload));
+                st.panic_msg.get_or_insert_with(|| panic_text(&*payload));
             }
             if st.running == 0 {
                 shared.done_cv.notify_all();
@@ -308,6 +307,26 @@ fn worker_loop(shared: &Shared) {
     }
     drop(st);
     shared.exited.fetch_add(1, Ordering::SeqCst);
+}
+
+/// Run `task` on the calling thread alone, under the pooled path's
+/// panic contract.
+fn run_inline(task: &(dyn Fn() + Sync)) {
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
+        repanic(panic_text(&*payload));
+    }
+}
+
+const PANIC_PREFIX: &str = "par_map worker panicked: ";
+
+/// Re-raise a participant's panic as `par_map worker panicked: …`,
+/// leaving a message that already carries the prefix (a nested map's)
+/// as it is.
+fn repanic(msg: String) -> ! {
+    if msg.starts_with(PANIC_PREFIX) {
+        panic!("{msg}")
+    }
+    panic!("{PANIC_PREFIX}{msg}")
 }
 
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
@@ -373,6 +392,66 @@ mod tests {
         // …and drop still joins every worker: nothing leaked.
         drop(pool);
         assert_eq!(shared.exited.load(Ordering::SeqCst), 3);
+    }
+
+    fn boom_message(pool: &WorkerPool) -> String {
+        let items: Vec<u32> = (0..16).collect();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.par_map_with_threads(
+                &items,
+                3,
+                || (),
+                |(), _, &x| {
+                    assert!(x != 7, "boom");
+                    x
+                },
+            )
+        }));
+        panic_text(&*result.expect_err("panic must propagate"))
+    }
+
+    #[test]
+    fn busy_pool_inline_path_keeps_the_panic_contract() {
+        let pool = WorkerPool::new(2);
+        // Another poster holds the pool: this map runs on the caller
+        // alone, and must still report through the pool's contract.
+        let held = pool.poster.lock().unwrap();
+        assert_eq!(boom_message(&pool), "par_map worker panicked: boom");
+        drop(held);
+        assert_eq!(boom_message(&pool), "par_map worker panicked: boom");
+    }
+
+    #[test]
+    fn nested_panic_is_prefixed_once() {
+        let pool = WorkerPool::new(2);
+        let items: Vec<u32> = (0..4).collect();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.par_map_with_threads(&items, 3, || (), |(), _, _| boom_message(&pool))
+        }));
+        let msg = match result {
+            // The nested maps all ran inline and panicked inside
+            // `boom_message`'s catch_unwind: no outer panic at all.
+            Ok(msgs) => msgs[0].clone(),
+            Err(payload) => panic_text(&*payload),
+        };
+        assert_eq!(msg, "par_map worker panicked: boom");
+    }
+
+    #[test]
+    fn concurrent_panicking_maps_always_report_the_contract() {
+        let pool = WorkerPool::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..25 {
+                        assert_eq!(boom_message(&pool), "par_map worker panicked: boom");
+                    }
+                });
+            }
+        });
+        // The pool is still usable after the storm.
+        let expected: Vec<u64> = (0..64).map(|x: u64| x.wrapping_mul(x)).collect();
+        assert_eq!(squares(&pool, 64, 3), expected);
     }
 
     #[test]
