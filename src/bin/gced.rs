@@ -177,6 +177,14 @@ ANALYZE:
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(cmd) = args.first() {
+        if args[1..].iter().any(|a| a == "--help" || a == "-h") {
+            if let Some(usage) = subcommand_usage(cmd) {
+                print!("{usage}");
+                return ExitCode::SUCCESS;
+            }
+        }
+    }
     let result = match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
         Some("shard") => cmd_shard(&args[1..]),
@@ -200,6 +208,32 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+/// `gced <cmd> --help`: the subcommand's USAGE lines plus the USAGE
+/// section named after it (e.g. `SERVE:`), if any. `None` for an
+/// unknown subcommand.
+fn subcommand_usage(cmd: &str) -> Option<String> {
+    let head = format!("  gced {cmd} ");
+    let mut lines = USAGE.lines().skip_while(|l| !l.starts_with(&head));
+    let mut out = format!("USAGE:\n{}\n", lines.next()?);
+    for l in lines.take_while(|l| l.starts_with("   ")) {
+        out.push_str(l);
+        out.push('\n');
+    }
+    let heading = format!("{}:", cmd.to_uppercase());
+    let section: Vec<&str> = USAGE
+        .lines()
+        .skip_while(|l| *l != heading)
+        .take_while(|l| !l.is_empty())
+        .collect();
+    if !section.is_empty() {
+        out.push('\n');
+        out.push_str(&section.join("\n"));
+        out.push('\n');
+    }
+    out.push_str("\nRun `gced --help` for every subcommand.\n");
+    Some(out)
 }
 
 // ---------------------------------------------------------------------------

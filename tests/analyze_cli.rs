@@ -1,5 +1,6 @@
 //! Exit-code contract of `gced analyze`, bench-check style: 0 on a
 //! clean tree, 1 on findings, 2 on usage errors — CI keys off these.
+//! Also `gced <cmd> --help`: that subcommand's usage, exit 0.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -112,6 +113,32 @@ fn bad_usage_exits_two() {
         .args(["analyze", "--root", "/nonexistent/gced-analyze-root"])
         .output()
         .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn subcommand_help_prints_its_usage_and_exits_zero() {
+    for (args, expect) in [
+        (&["analyze", "--help"][..], "gced analyze [--root DIR]"),
+        (&["analyze", "-h"][..], "ANALYZE:"),
+        (&["distill", "--help"][..], "gced distill --question Q"),
+        (&["serve", "--addr", "127.0.0.1:0", "--help"][..], "SERVE:"),
+    ] {
+        let out = gced().args(args).output().unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            text(&out.stderr)
+        );
+        let stdout = text(&out.stdout);
+        assert!(stdout.starts_with("USAGE:\n"), "{args:?}: {stdout}");
+        assert!(stdout.contains(expect), "{args:?}: {stdout}");
+        // Only that subcommand's usage, not the whole reference.
+        assert!(!stdout.contains("gced merge"), "{args:?}: {stdout}");
+    }
+    // An unknown subcommand stays a usage error.
+    let out = gced().args(["nosuch", "--help"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
 }
 
