@@ -21,6 +21,25 @@ const CONTEXT: &str = "The American Football Conference (AFC) champion Denver Br
                        the Super Bowl 50 title. The game was played at Lockwood Stadium in Boston. \
                        The halftime show featured a famous singer and a large fireworks display.";
 
+/// Run-on sentences of 48–72 kept (non-punctuation) tokens, each of
+/// which the embedded grammar derives to `TOP`: the long end of the CKY
+/// chart, just under the parser's 72-token cutoff.
+const LONG_SENTENCES: [&str; 3] = [
+    "The city council approved a new plan for a large reservoir in the hills east of the city \
+     after the long drought and the engineers repaired the old pipes under the main streets of \
+     the town and the growing population received enough clean water for the homes and the local \
+     farms irrigated the fields in the dry summer months and the mayor praised the engineers for \
+     the quick repairs.",
+    "The owner of the small bakery on the corner of the main square learned the trade from her \
+     grandmother in a village in the south of France and the busy baker prepared the dough for \
+     the fresh bread and the sweet cakes at four in the morning and the first customers arrived \
+     at the shop at seven and the baker sold the last loaves before noon.",
+    "The orchestra performed the new symphony by the young composer in the grand concert hall on \
+     Saturday and the critics praised the bold use of brass and percussion in the first movement \
+     and the quiet beauty of the second movement and the principal cellist played a long solo \
+     for the happy audience in the hall.",
+];
+
 /// A long, distractor-heavy context: the clip search must prune many
 /// subtrees, which is exactly the hot path the incremental scoring
 /// engine targets.
@@ -55,6 +74,30 @@ fn bench_substrates(c: &mut Criterion) {
     let parser = CkyParser::embedded();
     c.bench_function("parser/cky_parse_document", |b| {
         b.iter(|| gced_parser::parse_document_with(black_box(&doc), &parser))
+    });
+
+    // The cubic end of the parser: full CKY charts over the kept-token
+    // tag sequences of the long sentences, no cache, no fallback.
+    let long_tags: Vec<Vec<gced_text::Pos>> = LONG_SENTENCES
+        .iter()
+        .map(|text| {
+            let tags: Vec<gced_text::Pos> = gced_text::analyze(text)
+                .tokens
+                .iter()
+                .map(|t| t.pos)
+                .filter(|p| !matches!(p, gced_text::Pos::Punct | gced_text::Pos::Particle))
+                .collect();
+            assert!((48..=72).contains(&tags.len()), "{} kept tags", tags.len());
+            assert!(parser.parse_constituency(&tags).is_some(), "no CKY parse");
+            tags
+        })
+        .collect();
+    c.bench_function("parser/cky_parse_long", |b| {
+        b.iter(|| {
+            for tags in &long_tags {
+                black_box(parser.parse_constituency(black_box(tags)));
+            }
+        })
     });
 
     let cfg = AttentionConfig {

@@ -426,14 +426,26 @@ mod tests {
         let pool = WorkerPool::new(2);
         let items: Vec<u32> = (0..4).collect();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.par_map_with_threads(&items, 3, || (), |(), _, _| boom_message(&pool))
+            pool.par_map_with_threads(
+                &items,
+                3,
+                || (),
+                |(), _, _| {
+                    // The outer map holds the pool, so this one runs
+                    // inline; its panic crosses the outer job.
+                    pool.par_map_with_threads(
+                        &items,
+                        3,
+                        || (),
+                        |(), _, &x| {
+                            assert!(x != 2, "boom");
+                            x
+                        },
+                    )
+                },
+            )
         }));
-        let msg = match result {
-            // The nested maps all ran inline and panicked inside
-            // `boom_message`'s catch_unwind: no outer panic at all.
-            Ok(msgs) => msgs[0].clone(),
-            Err(payload) => panic_text(&*payload),
-        };
+        let msg = panic_text(&*result.expect_err("panic must propagate"));
         assert_eq!(msg, "par_map worker panicked: boom");
     }
 

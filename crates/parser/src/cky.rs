@@ -61,7 +61,7 @@ const _: () = assert!(Symbol::COUNT <= 32);
 
 /// One chart cell: best score and back-pointer per symbol, valid where
 /// `mask` has the symbol's bit.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct ChartCell {
     score: [f64; Symbol::COUNT],
     back: [u32; Symbol::COUNT],
@@ -69,12 +69,6 @@ struct ChartCell {
 }
 
 impl ChartCell {
-    const EMPTY: ChartCell = ChartCell {
-        score: [0.0; Symbol::COUNT],
-        back: [0; Symbol::COUNT],
-        mask: 0,
-    };
-
     /// Keep `score` for `sym` unless the cell already holds at least as
     /// good a score. Returns whether it replaced.
     fn offer(&mut self, sym: usize, score: f64, back: u32) -> bool {
@@ -203,7 +197,7 @@ impl CkyParser {
         let tables = self.grammar.tables();
         let mut chart = Chart::new(n);
         for (i, &pos) in tags.iter().enumerate() {
-            let mut cell = ChartCell::EMPTY;
+            let mut cell = ChartCell::default();
             for &(lhs, lp) in &tables.preterm[pos as usize] {
                 cell.offer(lhs, lp, 0);
             }
@@ -212,7 +206,7 @@ impl CkyParser {
         }
         for width in 2..=n {
             for start in 0..=(n - width) {
-                let mut cell = ChartCell::EMPTY;
+                let mut cell = ChartCell::default();
                 for split in 1..width {
                     let left = chart.at(start, split);
                     let right = chart.at(start + split, width - split);
