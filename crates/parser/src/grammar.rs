@@ -60,10 +60,10 @@ pub enum Symbol {
 
 impl Symbol {
     /// Number of symbols: the width of a dense chart cell.
-    pub const COUNT: usize = Symbol::Num as usize + 1;
+    pub(crate) const COUNT: usize = Symbol::Num as usize + 1;
 
     /// Every symbol, in declaration (and `Ord`) order: `ALL[s.index()] == s`.
-    pub const ALL: [Symbol; Symbol::COUNT] = [
+    pub(crate) const ALL: [Symbol; Symbol::COUNT] = [
         Symbol::Top,
         Symbol::S,
         Symbol::Np,
@@ -85,7 +85,7 @@ impl Symbol {
     ];
 
     /// Dense index in `0..COUNT`, ordered like `Ord`.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 
