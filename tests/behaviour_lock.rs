@@ -12,13 +12,17 @@
 //! * the `parse_document` parent array of every context, which covers
 //!   every sentence of the corpus.
 //!
+//! Separately, the smoke-scale seed-42 `table3`, `reduction` and
+//! `ablation` reports are pinned: the bytes `gced run <experiment>
+//! --scale smoke --seed 42 --out PATH` writes.
+//!
 //! A moved digest is a behaviour change. Do not re-baseline it to make a
 //! refactor pass: find the change.
 
 use gced::Gced;
-use gced_datasets::DatasetKind;
+use gced_datasets::{DatasetKind, ShardSpec};
 use gced_eval::shard::load_or_fit;
-use gced_eval::Scale;
+use gced_eval::{merge, run_shard, Scale};
 use gced_serve::wire::{render_distillation_with_id, render_error};
 use gced_text::Pos;
 
@@ -29,6 +33,14 @@ const SQUAD_DISTILL: u64 = 0xd72a_e2dc_fb46_a5c1;
 const TRIVIA_DISTILL: u64 = 0x928b_631d_f2ac_d512;
 const RUNON_DISTILL: u64 = 0x066c_b4a0_60e1_acba;
 const PARSE_PARENTS: u64 = 0x996f_523d_0b4b_988e;
+
+/// Golden digests of the smoke-scale, seed-42 SQuAD-1.1 experiment
+/// reports, recorded before the Eq. 8 encode path was deleted.
+const TABLE_REPORTS: &[(&str, u64)] = &[
+    ("table3", 0x3d42_d665_ca31_6723),
+    ("reduction", 0x83d5_33cb_5d0e_5f7a),
+    ("ablation", 0x57a8_4257_4e1f_7fc2),
+];
 
 /// (question, answer, context): single run-on sentences of coordinated
 /// clauses, each of which the embedded grammar derives to `TOP`, so the
@@ -328,4 +340,33 @@ fn parse_parents_match_golden_digest() {
         hash_parents(&mut h, context);
     }
     assert_eq!(h.0, PARSE_PARENTS, "parse parents moved: {:#018x}", h.0);
+}
+
+#[test]
+fn table_reports_match_golden_digests() {
+    let got: Vec<(&str, u64)> = TABLE_REPORTS
+        .iter()
+        .map(|&(experiment, _)| {
+            let output = run_shard(
+                experiment,
+                DatasetKind::Squad11,
+                Scale::smoke(),
+                SEED,
+                ShardSpec::single(),
+            )
+            .expect("smoke run");
+            let report = merge(&[output]).expect("single-shard merge").render();
+            let mut h = Fnv::new();
+            h.write(report.as_bytes());
+            (experiment, h.0)
+        })
+        .collect();
+    assert_eq!(
+        got,
+        TABLE_REPORTS,
+        "report bytes moved: {:?}",
+        got.iter()
+            .map(|(e, d)| format!("{e}={d:#018x}"))
+            .collect::<Vec<_>>()
+    );
 }
