@@ -114,10 +114,10 @@ fn bench_substrates(c: &mut Criterion) {
         b.iter(|| mha.attend_words(black_box(&words), &table))
     });
 
-    // Kernel micro-benches: the two matmul shapes the attention hot path
-    // is built from (projection-shaped A·B and score-shaped A·Bᵀ), plus
-    // the full Eq. 8 encode. These isolate the numeric substrate from
-    // embedding/softmax so kernel-level changes are visible on their own.
+    // Kernel micro-benches: the two matmul shapes the attention layer
+    // is built from (projection-shaped A·B and score-shaped A·Bᵀ). These
+    // isolate the numeric substrate from embedding/softmax so
+    // kernel-level changes are visible on their own.
     let x60 = mha.embed_sequence(&words, &table);
     let seed_mat = |rows: usize, cols: usize, salt: u64| {
         gced_nn::Matrix::from_fn(rows, cols, |r, c| {
@@ -137,9 +137,6 @@ fn bench_substrates(c: &mut Criterion) {
     let b60 = seed_mat(60, 64, 3);
     c.bench_function("nn/matmul_nt_60x64", |b| {
         b.iter(|| black_box(&x60).matmul_nt(&b60))
-    });
-    c.bench_function("nn/encode_16head_d64", |b| {
-        b.iter(|| mha.encode(black_box(&x60)))
     });
 
     let corpus: Vec<Vec<String>> = (0..200)

@@ -483,24 +483,6 @@ impl Gced {
         })
     }
 
-    /// [`Gced::distill`] recording a span tree of the pipeline stages
-    /// (see `gced-obs`). The tree is `None` when tracing is disabled;
-    /// the distillation itself is bit-identical either way — tracing is
-    /// a sidecar channel and never touches the result.
-    pub fn distill_traced(
-        &self,
-        question: &str,
-        answer: &str,
-        context: &str,
-    ) -> (
-        Result<Distillation, DistillError>,
-        Option<gced_obs::SpanNode>,
-    ) {
-        gced_obs::capture("distill", || {
-            self.distill_opts(question, answer, context, DistillOpts::default())
-        })
-    }
-
     /// [`Gced::distill_batch`] with a span tree captured per item on
     /// the worker thread that distilled it (the serve batcher records
     /// these in its flight recorder). Results are element-wise identical

@@ -2,9 +2,9 @@
 //!
 //! Parses the answer-oriented sentences with the L-PCFG CKY parser into a
 //! head-lexicalized dependency tree whose nodes are token indices, then
-//! annotates every (child → parent) edge with a multi-head attention
-//! weight (Eqs. 6–8). Higher weight = stronger dependence between the
-//! node and its parent — the quantity both SGS (max) and the SCS
+//! annotates every (child → parent) edge with a head-averaged attention
+//! probability (Eqs. 6–7). Higher weight = stronger dependence between
+//! the node and its parent — the quantity both SGS (max) and the SCS
 //! tie-break (min) consult.
 
 use gced_nn::{EmbeddingTable, MultiHeadAttention};

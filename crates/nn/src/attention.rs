@@ -1,26 +1,28 @@
-//! Multi-head scaled dot-product self-attention (paper Eqs. 6–8).
+//! Multi-head scaled dot-product self-attention probabilities (paper
+//! Eqs. 6–7).
 //!
 //! The paper derives WSPTC edge weights from the first-layer encoder
-//! attention of the PLM: linear Q/K/V maps, `heads = 16` scaled
-//! dot-product attentions with `d_k = 64`, softmax normalization, head
-//! concatenation and an output projection `Wo`. This module reproduces
-//! that computation over the deterministic embeddings of
-//! [`crate::embedding`], with sinusoidal position encodings so that
-//! nearby tokens attend more — the locality bias real layer-1 heads show.
+//! attention of the PLM: linear Q/K maps, `heads = 16` scaled
+//! dot-product attentions with `d_k = 64` and softmax normalization.
+//! This module reproduces that computation over the deterministic
+//! embeddings of [`crate::embedding`], with sinusoidal position
+//! encodings so that nearby tokens attend more — the locality bias real
+//! layer-1 heads show.
 //!
 //! The quantity GCED consumes is the **token-to-token attention
 //! probability matrix**; following the paper we expose the per-head
 //! softmax scores averaged over heads via
-//! [`MultiHeadAttention::attention_matrix`], and the full Eq. 8 output
-//! (concat + `Wo`) via [`MultiHeadAttention::encode`].
+//! [`MultiHeadAttention::attention_matrix`]. Eq. 8 (value weighting,
+//! head concatenation and the `Wo` projection) produces contextual
+//! encodings that WSPTC never reads, so it is not computed.
 //!
-//! Both run **fused**: the score → scale → softmax → value-weighting
-//! chain streams one query row at a time through the blocked kernels of
+//! The pass runs **fused**: the score → scale → softmax chain streams
+//! one query row at a time through the blocked kernels of
 //! [`crate::kernels`], so the full `n×n` per-head score matrix is never
 //! materialized — per row, a length-`n` score buffer is filled by the
 //! register-tiled dot kernel, softmaxed in place, and immediately
-//! consumed. Every reduction uses the fixed 8-lane tree, so the fused
-//! passes are bitwise-identical to the materialized scalar oracle in
+//! accumulated. Every reduction uses the fixed 8-lane tree, so the fused
+//! pass is bitwise-identical to the materialized scalar oracle in
 //! [`crate::reference`] (property-tested), and identical on any machine
 //! at any thread count.
 
@@ -62,25 +64,12 @@ impl Default for AttentionConfig {
 #[derive(Debug, Clone)]
 pub struct MultiHeadAttention {
     config: AttentionConfig,
-    /// Shared first-stage projections (Eq. 6): d_model × d_model.
-    wq: Matrix,
-    wk: Matrix,
-    wv: Matrix,
-    /// Per-head projections (Eq. 7): d_model × d_k each.
-    head_q: Vec<Matrix>,
-    head_k: Vec<Matrix>,
-    head_v: Vec<Matrix>,
-    /// Output projection (Eq. 8): (heads · d_k) × d_model.
-    wo: Matrix,
-    /// Precomputed per-head score kernels
-    /// `C_h = (Wq · WQ_h) · (Wk · WK_h)ᵀ` (d_model × d_model): the score
-    /// matrix of Eq. 7 factors as `(X·C_h)·Xᵀ`, which removes the two
-    /// per-head Q/K projections of the hot path (≈ 1.7× fewer MACs on
-    /// every WSPTC construction).
-    score_kernels: Vec<Matrix>,
-    /// The same kernels, transposed and stacked into one packed
+    /// The per-head score kernels `C_h = (Wq · WQ_h) · (Wk · WK_h)ᵀ`
+    /// (d_model × d_model each): the score matrix of Eq. 7 factors as
+    /// `(X·C_h)·Xᵀ`, which removes the two per-head Q/K projections of
+    /// the hot path. Stored transposed and stacked into one packed
     /// `(heads·d_model) × d_model` matrix (row `h·d_model + j` is column
-    /// `j` of `C_h`): the fused path computes every head's projection
+    /// `j` of `C_h`), so the fused path computes every head's projection
     /// `X·C_h` in a single `matmul_nt` sweep with no per-call packing.
     score_kernels_t: Matrix,
     /// Positional encodings for the first rows, precomputed (the `powf`
@@ -91,51 +80,72 @@ pub struct MultiHeadAttention {
 /// Positions covered by the precomputed positional-encoding cache.
 const POSITIONAL_CACHE_ROWS: usize = 256;
 
+/// The Eq. 6–7 query/key projections, alive only while the score
+/// kernels are built.
+struct Projections {
+    /// Shared first-stage projections (Eq. 6): d_model × d_model.
+    wq: Matrix,
+    wk: Matrix,
+    /// Per-head projections (Eq. 7): d_model × d_k each.
+    head_q: Vec<Matrix>,
+    head_k: Vec<Matrix>,
+}
+
+/// Draw the projections from the seeded PRNG (Xavier-style scaling) in
+/// the layer's fixed order: `Wq`, `Wk`, `Wv`, then per head `WQ_h`,
+/// `WK_h`, `WV_h`. The value maps belong to Eq. 8, which is not
+/// computed; they are still drawn and dropped because the draw order
+/// fixes the bits of every later weight. `Wo`, the last draw, is
+/// skipped.
+fn draw_projections(config: &AttentionConfig) -> Projections {
+    let mut rng = SmallRng::seed_from_u64(config.seed);
+    let init = |rows: usize, cols: usize, rng: &mut SmallRng| {
+        let scale = (2.0 / (rows + cols) as f32).sqrt();
+        Matrix::from_fn(rows, cols, |_, _| (rng.gen::<f32>() * 2.0 - 1.0) * scale)
+    };
+    let (d, dk) = (config.d_model, config.d_k);
+    let wq = init(d, d, &mut rng);
+    let wk = init(d, d, &mut rng);
+    let _wv = init(d, d, &mut rng);
+    let mut head_q = Vec::with_capacity(config.heads);
+    let mut head_k = Vec::with_capacity(config.heads);
+    for _ in 0..config.heads {
+        head_q.push(init(d, dk, &mut rng));
+        head_k.push(init(d, dk, &mut rng));
+        let _head_v = init(d, dk, &mut rng);
+    }
+    Projections {
+        wq,
+        wk,
+        head_q,
+        head_k,
+    }
+}
+
 impl MultiHeadAttention {
-    /// Initialize all projections from the seeded PRNG (Xavier-style
-    /// scaling, deterministic for a given config).
+    /// Initialize the layer from the seeded PRNG (deterministic for a
+    /// given config) and fold the Q/K projections into the packed score
+    /// kernels.
     pub fn new(config: AttentionConfig) -> Self {
         assert!(config.heads > 0 && config.d_k > 0 && config.d_model > 0);
-        let mut rng = SmallRng::seed_from_u64(config.seed);
-        let init = |rows: usize, cols: usize, rng: &mut SmallRng| {
-            let scale = (2.0 / (rows + cols) as f32).sqrt();
-            Matrix::from_fn(rows, cols, |_, _| (rng.gen::<f32>() * 2.0 - 1.0) * scale)
-        };
-        let wq = init(config.d_model, config.d_model, &mut rng);
-        let wk = init(config.d_model, config.d_model, &mut rng);
-        let wv = init(config.d_model, config.d_model, &mut rng);
-        let mut head_q = Vec::with_capacity(config.heads);
-        let mut head_k = Vec::with_capacity(config.heads);
-        let mut head_v = Vec::with_capacity(config.heads);
-        for _ in 0..config.heads {
-            head_q.push(init(config.d_model, config.d_k, &mut rng));
-            head_k.push(init(config.d_model, config.d_k, &mut rng));
-            head_v.push(init(config.d_model, config.d_k, &mut rng));
-        }
-        let wo = init(config.heads * config.d_k, config.d_model, &mut rng);
-        let score_kernels: Vec<Matrix> = (0..config.heads)
+        let p = draw_projections(&config);
+        let d = config.d_model;
+        // C_hᵀ = (Wk·WK_h)·(Wq·WQ_h)ᵀ: element [j][i] is the same
+        // canonical dot of row i of Wq·WQ_h and row j of Wk·WK_h as
+        // C_h[i][j] (the fma multiply commutes exactly).
+        let kernels_t: Vec<Matrix> = (0..config.heads)
             .map(|h| {
-                wq.matmul(&head_q[h])
-                    .matmul(&wk.matmul(&head_k[h]).transpose())
+                p.wk.matmul(&p.head_k[h])
+                    .matmul_nt(&p.wq.matmul(&p.head_q[h]))
             })
             .collect();
-        let d = config.d_model;
-        let score_kernels_t = Matrix::from_fn(config.heads * d, d, |r, c| {
-            score_kernels[r / d].get(c, r % d)
-        });
+        let score_kernels_t =
+            Matrix::from_fn(config.heads * d, d, |r, c| kernels_t[r / d].get(r % d, c));
         let positional_cache = Matrix::from_fn(POSITIONAL_CACHE_ROWS, config.d_model, |p, j| {
             positional(p, j, config.d_model)
         });
         MultiHeadAttention {
             config,
-            wq,
-            wk,
-            wv,
-            head_q,
-            head_k,
-            head_v,
-            wo,
-            score_kernels,
             score_kernels_t,
             positional_cache,
         }
@@ -146,20 +156,11 @@ impl MultiHeadAttention {
         &self.config
     }
 
-    /// The precomputed head-`h` score kernel `C_h` (oracle access).
-    pub fn score_kernel(&self, h: usize) -> &Matrix {
-        &self.score_kernels[h]
-    }
-
-    /// The shared first-stage projections `(Wq, Wk, Wv, Wo)` (oracle
-    /// access).
-    pub fn stage_projections(&self) -> (&Matrix, &Matrix, &Matrix, &Matrix) {
-        (&self.wq, &self.wk, &self.wv, &self.wo)
-    }
-
-    /// Head-`h` projections `(WQ_h, WK_h, WV_h)` (oracle access).
-    pub fn head_projections(&self, h: usize) -> (&Matrix, &Matrix, &Matrix) {
-        (&self.head_q[h], &self.head_k[h], &self.head_v[h])
+    /// The head-`h` score kernel `C_h`, rebuilt from the packed block
+    /// (oracle access).
+    pub(crate) fn score_kernel(&self, h: usize) -> Matrix {
+        let d = self.config.d_model;
+        Matrix::from_fn(d, d, |i, j| self.score_kernels_t.get(h * d + j, i))
     }
 
     /// Embed a token sequence (adding position encodings) into an
@@ -240,37 +241,6 @@ impl MultiHeadAttention {
         avg
     }
 
-    /// Full Eq. 8: per-head attention-weighted values, concatenated and
-    /// projected by `Wo`. Returns an `n × d_model` contextual encoding.
-    ///
-    /// Fused like [`MultiHeadAttention::attention_matrix`]: per query
-    /// row, the score row is streamed against the row-major `K_h` (the
-    /// packed-transpose operand), softmaxed, and immediately contracted
-    /// with `V_hᵀ` into the head's slice of the concatenation buffer.
-    /// Bitwise-equal to [`crate::reference::encode`].
-    pub fn encode(&self, x: &Matrix) -> Matrix {
-        let q = x.matmul(&self.wq);
-        let k = x.matmul(&self.wk);
-        let v = x.matmul(&self.wv);
-        let n = x.rows();
-        let dk = self.config.d_k;
-        let scale = 1.0 / (dk as f32).sqrt();
-        let mut concat = Matrix::zeros(n, self.config.heads * dk);
-        let mut s = vec![0.0f32; n];
-        for h in 0..self.config.heads {
-            let qh = q.matmul(&self.head_q[h]);
-            let kh = k.matmul(&self.head_k[h]);
-            let vht = v.matmul(&self.head_v[h]).transpose();
-            for i in 0..n {
-                score_row(qh.row(i), &kh, scale, &mut s);
-                kernels::softmax(&mut s);
-                let out = &mut concat.row_mut(i)[h * dk..(h + 1) * dk];
-                kernels::dot_rows(&s, vht.as_slice(), out);
-            }
-        }
-        concat.matmul(&self.wo)
-    }
-
     /// Convenience: attention matrix straight from words.
     pub fn attend_words(&self, words: &[String], table: &EmbeddingTable) -> Matrix {
         self.attention_matrix(&self.embed_sequence(words, table))
@@ -304,6 +274,7 @@ fn positional(pos: usize, dim_index: usize, d_model: usize) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     fn words(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -373,14 +344,85 @@ mod tests {
         assert!(any_diff);
     }
 
+    /// Paper-literal Eq. 7 head average from freshly drawn projections:
+    /// `mean_h softmax((X·Wq·WQ_h)(X·Wk·WK_h)ᵀ / √d_k)`, plain loops.
+    fn literal_attention(config: &AttentionConfig, x: &Matrix) -> Vec<Vec<f64>> {
+        let p = draw_projections(config);
+        let n = x.rows();
+        let scale = 1.0 / (config.d_k as f64).sqrt();
+        let mut avg = vec![vec![0.0f64; n]; n];
+        for h in 0..config.heads {
+            let q = x.matmul(&p.wq).matmul(&p.head_q[h]);
+            let k = x.matmul(&p.wk).matmul(&p.head_k[h]);
+            for (i, avg_row) in avg.iter_mut().enumerate() {
+                let scores: Vec<f64> = (0..n)
+                    .map(|j| {
+                        let dot: f64 = (0..config.d_k)
+                            .map(|c| f64::from(q.get(i, c)) * f64::from(k.get(j, c)))
+                            .sum();
+                        dot * scale
+                    })
+                    .collect();
+                let max = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                let exps: Vec<f64> = scores.iter().map(|s| (s - max).exp()).collect();
+                let sum: f64 = exps.iter().sum();
+                for (a, e) in avg_row.iter_mut().zip(&exps) {
+                    *a += e / sum / config.heads as f64;
+                }
+            }
+        }
+        avg
+    }
+
     #[test]
-    fn encode_has_model_shape() {
-        let (mha, table) = default_layer();
-        let ws = words(&["grow", "and", "clip"]);
-        let x = mha.embed_sequence(&ws, &table);
-        let enc = mha.encode(&x);
-        assert_eq!(enc.rows(), 3);
-        assert_eq!(enc.cols(), 32);
+    fn score_kernels_factor_the_literal_head_average() {
+        let shapes = [
+            (8, 1, 4, 5),
+            (16, 2, 8, 9),
+            (12, 3, 5, 1),
+            (32, 4, 16, 17),
+            (64, 16, 64, 24),
+        ];
+        for (d_model, heads, d_k, n) in shapes {
+            let config = AttentionConfig {
+                d_model,
+                heads,
+                d_k,
+                seed: 1234 + d_model as u64,
+                positional_weight: 0.35,
+            };
+            let mha = MultiHeadAttention::new(config);
+            let mut rng = SmallRng::seed_from_u64(99 + n as u64);
+            let x = Matrix::from_fn(n, d_model, |_, _| rng.gen::<f32>() * 2.0 - 1.0);
+            let fused = mha.attention_matrix(&x);
+            let literal = literal_attention(&config, &x);
+            for (i, row) in literal.iter().enumerate() {
+                for (j, &want) in row.iter().enumerate() {
+                    let got = f64::from(fused.get(i, j));
+                    assert!(
+                        (got - want).abs() < 1e-5,
+                        "{d_model}/{heads}/{d_k} n={n} [{i}][{j}]: {got} vs {want}"
+                    );
+                }
+            }
+            // The packed block holds exactly the bits of the scalar-oracle
+            // product `(Wq·WQ_h)·(Wk·WK_h)ᵀ`.
+            let p = draw_projections(&config);
+            for h in 0..heads {
+                let want = reference::matmul(
+                    &reference::matmul(&p.wq, &p.head_q[h]),
+                    &reference::matmul(&p.wk, &p.head_k[h]).transpose(),
+                );
+                let got = mha.score_kernel(h);
+                assert!(
+                    got.as_slice()
+                        .iter()
+                        .zip(want.as_slice())
+                        .all(|(g, w)| g.to_bits() == w.to_bits()),
+                    "{d_model}/{heads}/{d_k}: C_{h} bits differ"
+                );
+            }
+        }
     }
 
     #[test]

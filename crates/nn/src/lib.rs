@@ -2,10 +2,13 @@
 //!
 //! Section III-D of the GCED paper derives per-edge weights for the
 //! syntactic parse tree from the first-layer multi-head attention of a
-//! pretrained RoBERTa encoder (16 heads, d_k = 64, scaled dot-product,
-//! concat + output projection — Eqs. 6–8). No pretrained transformer is
-//! available offline, so this crate implements the same computation over
-//! deterministic embeddings:
+//! pretrained RoBERTa encoder (16 heads, d_k = 64, scaled dot-product —
+//! Eqs. 6–7). No pretrained transformer is available offline, so this
+//! crate implements the same computation over deterministic embeddings.
+//! It computes the head-averaged attention probabilities and nothing
+//! past them: WSPTC reads only those weights, so the Eq. 8 value
+//! weighting, head concatenation and output projection, whose result is
+//! a contextual encoding no stage consumes, are not computed.
 //!
 //! * [`kernels`] — the numeric substrate: 8-lane fixed-reduction-tree
 //!   dot products (scalar and 4-wide register-tiled), a deterministic
@@ -20,14 +23,14 @@
 //!   vectors, optionally refined on corpus co-occurrence so that
 //!   distributionally related words end up closer (the property the
 //!   attention weights must expose to SGS/SCS);
-//! * [`attention::MultiHeadAttention`] — Eqs. 6–8 verbatim: Q/K/V linear
-//!   maps, 16 scaled-dot-product heads, softmax, concatenation, and an
-//!   output projection; plus sinusoidal position encodings so locality
-//!   shows up in the weights just as it does in layer-1 BERT heads. The
-//!   hot paths are fused row-streaming passes that never materialize the
-//!   per-head score matrices;
-//! * [`reference`] — the paper-literal scalar oracle those fused passes
-//!   are property-tested against, **bitwise**, on every shape.
+//! * [`attention::MultiHeadAttention`] — Eqs. 6–7: Q/K linear maps
+//!   folded into per-head score kernels, 16 scaled-dot-product heads and
+//!   softmax, averaged over heads; plus sinusoidal position encodings so
+//!   locality shows up in the weights just as it does in layer-1 BERT
+//!   heads. The hot path is a fused row-streaming pass that never
+//!   materializes the per-head score matrices;
+//! * [`reference`](mod@reference) — the paper-literal scalar oracle the kernels and the
+//!   fused pass are property-tested against, **bitwise**, on every shape.
 //!
 //! Everything is seeded; identical inputs give identical weights.
 

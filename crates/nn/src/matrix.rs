@@ -182,27 +182,6 @@ impl Matrix {
             kernels::softmax(&mut self.data[r * self.cols..(r + 1) * self.cols]);
         }
     }
-
-    /// Elementwise addition in place; panics on shape mismatch.
-    pub fn add_assign(&mut self, rhs: &Matrix) {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols));
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            // gced-allow(DET002): elementwise add, one rounding per element — no reduction order exists
-            *a += b;
-        }
-    }
-
-    /// Horizontal concatenation `[self | rhs]`; panics on row mismatch.
-    pub fn hconcat(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.rows, rhs.rows);
-        Matrix::from_fn(self.rows, self.cols + rhs.cols, |r, c| {
-            if c < self.cols {
-                self.get(r, c)
-            } else {
-                rhs.get(r, c - self.cols)
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -264,23 +243,10 @@ mod tests {
     }
 
     #[test]
-    fn hconcat_widths_add() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::from_fn(2, 2, |_, _| 1.0);
-        let c = a.hconcat(&b);
-        assert_eq!((c.rows(), c.cols()), (2, 5));
-        assert_eq!(c.get(0, 4), 1.0);
-        assert_eq!(c.get(0, 0), 0.0);
-    }
-
-    #[test]
-    fn scale_and_add() {
+    fn scale_in_place() {
         let mut a = Matrix::from_rows(&[vec![1.0, -2.0]]);
         a.scale(2.0);
         assert_eq!(a.row(0), &[2.0, -4.0]);
-        let b = Matrix::from_rows(&[vec![1.0, 1.0]]);
-        a.add_assign(&b);
-        assert_eq!(a.row(0), &[3.0, -3.0]);
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Paper-literal scalar oracle for the blocked kernels.
 //!
-//! The Eq. 6–8 attention computation is written here the way the paper
+//! The Eq. 6–7 attention computation is written here the way the paper
 //! reads: materialize the full per-head score matrix, scale it, softmax
-//! every row, weight the values, average/concatenate — plain indexed
-//! loops, no blocking, no register tiling, no packing. The one liberty
-//! the oracle shares with the fast path is the **canonical reduction
-//! order**: floats are not associative, so the crate pins every sum to
-//! the 8-lane tree documented in [`crate::kernels`] (lane `k mod 8`,
-//! fixed pairwise combine), and [`dot`] below *is* that definition in
-//! its plainest scalar form. The same single [`kernels::exp_det`] is the
-//! crate's one `exp`.
+//! every row, average over heads — plain indexed loops, no blocking, no
+//! register tiling, no packing. The one liberty the oracle shares with
+//! the fast path is the **canonical reduction order**: floats are not
+//! associative, so the crate pins every sum to the 8-lane tree
+//! documented in [`crate::kernels`] (lane `k mod 8`, fixed pairwise
+//! combine), and [`dot`] below *is* that definition in its plainest
+//! scalar form. The same single [`kernels::exp_det`] is the crate's one
+//! `exp`.
 //!
 //! Property tests assert that the blocked kernels in [`crate::matrix`]
 //! and the fused streaming passes in [`crate::attention`] reproduce this
@@ -82,9 +82,9 @@ pub fn softmax_rows(m: &mut Matrix) {
 
 /// Eq. 7 attention probabilities averaged over heads, fully
 /// materialized: per head, the `n×n` score matrix `(X·C_h)·Xᵀ` is built,
-/// scaled by `1/√d_k`, row-softmaxed, and accumulated. The precomputed
-/// score kernels `C_h` are construction-time constants shared with the
-/// fast path. Oracle for [`MultiHeadAttention::attention_matrix`].
+/// scaled by `1/√d_k`, row-softmaxed, and accumulated. The score kernels
+/// `C_h` are construction-time constants, rebuilt here from the fast
+/// path's packed block. Oracle for [`MultiHeadAttention::attention_matrix`].
 pub fn attention_matrix(mha: &MultiHeadAttention, x: &Matrix) -> Matrix {
     let n = x.rows();
     let heads = mha.config().heads;
@@ -92,7 +92,7 @@ pub fn attention_matrix(mha: &MultiHeadAttention, x: &Matrix) -> Matrix {
     let xt = x.transpose();
     let mut avg = Matrix::zeros(n, n);
     for h in 0..heads {
-        let mut scores = matmul(&matmul(x, mha.score_kernel(h)), &xt);
+        let mut scores = matmul(&matmul(x, &mha.score_kernel(h)), &xt);
         for i in 0..n {
             for j in 0..n {
                 scores.set(i, j, scores.get(i, j) * scale);
@@ -112,36 +112,4 @@ pub fn attention_matrix(mha: &MultiHeadAttention, x: &Matrix) -> Matrix {
         }
     }
     avg
-}
-
-/// Full Eq. 8, materialized per head: Q/K/V projections, per-head score
-/// matrices, softmax, value weighting, concatenation, output projection.
-/// Oracle for [`MultiHeadAttention::encode`].
-pub fn encode(mha: &MultiHeadAttention, x: &Matrix) -> Matrix {
-    let (wq, wk, wv, wo) = mha.stage_projections();
-    let q = matmul(x, wq);
-    let k = matmul(x, wk);
-    let v = matmul(x, wv);
-    let n = x.rows();
-    let scale = 1.0 / (mha.config().d_k as f32).sqrt();
-    let mut concat: Option<Matrix> = None;
-    for h in 0..mha.config().heads {
-        let (hq, hk, hv) = mha.head_projections(h);
-        let qh = matmul(&q, hq);
-        let kh = matmul(&k, hk);
-        let vh = matmul(&v, hv);
-        let mut scores = matmul(&qh, &kh.transpose());
-        for i in 0..n {
-            for j in 0..n {
-                scores.set(i, j, scores.get(i, j) * scale);
-            }
-        }
-        softmax_rows(&mut scores);
-        let head = matmul(&scores, &vh);
-        concat = Some(match concat {
-            None => head,
-            Some(c) => c.hconcat(&head),
-        });
-    }
-    matmul(&concat.expect("heads > 0"), wo)
 }

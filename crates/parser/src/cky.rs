@@ -32,7 +32,7 @@
 //!
 //! ## Length cutoff
 //!
-//! `max_len` stays 72 kept tokens. CKY is O(n³) in time and the chart
+//! `MAX_LEN` stays 72 kept tokens. CKY is O(n³) in time and the chart
 //! O(n²) in memory, and raising the cutoff would route today's
 //! right-branching fallbacks (about a fifth of the long run-on sentences
 //! in TriviaQA-web-style contexts) through the grammar, changing their
@@ -53,8 +53,12 @@ const BACK_UNARY: u32 = 1 << 30;
 const BACK_BINARY: u32 = 2 << 30;
 const BACK_KIND: u32 = 3 << 30;
 
-/// Longest input whose splits fit the 14-bit split field.
-const MAX_CHART_LEN: usize = 1 << 14;
+/// Sentences longer than this (in parseable tokens) skip CKY and use
+/// the right-branching fallback (CKY is O(n³)).
+const MAX_LEN: usize = 72;
+
+// Every split of a parseable input fits the 14-bit split field.
+const _: () = assert!(MAX_LEN < 1 << 14);
 
 // The occupancy mask has one bit per symbol.
 const _: () = assert!(Symbol::COUNT <= 32);
@@ -130,9 +134,6 @@ fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
 #[derive(Debug, Clone)]
 pub struct CkyParser {
     grammar: Grammar,
-    /// Sentences longer than this (in parseable tokens) skip CKY and use
-    /// the right-branching fallback (CKY is O(n³)).
-    max_len: usize,
     /// Optional memoization of [`CkyParser::parse_tokens`] keyed by the
     /// POS-tag signature (see [`crate::cache`]). Shared by clones, so a
     /// cloned pipeline keeps feeding the same warm cache.
@@ -144,7 +145,6 @@ impl CkyParser {
     pub fn embedded() -> Self {
         CkyParser {
             grammar: Grammar::english(),
-            max_len: 72,
             cache: None,
         }
     }
@@ -153,15 +153,8 @@ impl CkyParser {
     pub fn new(grammar: Grammar) -> Self {
         CkyParser {
             grammar,
-            max_len: 72,
             cache: None,
         }
-    }
-
-    /// Change the CKY length cutoff (mostly for tests/benches).
-    pub fn with_max_len(mut self, max_len: usize) -> Self {
-        self.max_len = max_len;
-        self
     }
 
     /// Memoize [`CkyParser::parse_tokens`] results in a bounded LRU of
@@ -191,7 +184,7 @@ impl CkyParser {
     /// the input, or the input is empty/over-long.
     pub fn parse_constituency(&self, tags: &[Pos]) -> Option<ConstTree> {
         let n = tags.len();
-        if n == 0 || n > self.max_len || n > MAX_CHART_LEN {
+        if n == 0 || n > MAX_LEN {
             return None;
         }
         let tables = self.grammar.tables();

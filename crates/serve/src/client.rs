@@ -166,7 +166,7 @@ impl RetryPolicy {
             .base
             .saturating_mul(1u32.checked_shl(attempt.min(16)).unwrap_or(u32::MAX))
             .min(self.cap);
-        let jitter = 0.5 + 0.5 * unit(splitmix64(self.seed ^ u64::from(attempt)));
+        let jitter = 0.5 + 0.5 * unit(crate::splitmix64(self.seed ^ u64::from(attempt)));
         let jittered = exp.mul_f64(jitter);
         match retry_after {
             Some(secs) => jittered.max(Duration::from_secs(secs).min(self.cap)),
@@ -178,13 +178,6 @@ impl RetryPolicy {
 /// Map a u64 onto `[0, 1)`.
 fn unit(x: u64) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
-}
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// One persistent connection to the server. Each call frames its read

@@ -241,7 +241,7 @@ impl FaultPlan {
         if armed.threshold == u64::MAX {
             return true;
         }
-        splitmix64(self.seed ^ site.salt() ^ n.wrapping_mul(0x2545_f491_4f6c_dd1d))
+        crate::splitmix64(self.seed ^ site.salt() ^ n.wrapping_mul(0x2545_f491_4f6c_dd1d))
             < armed.threshold
     }
 
@@ -283,15 +283,6 @@ fn rate_to_threshold(rate: f64) -> u64 {
     } else {
         (rate * u64::MAX as f64) as u64
     }
-}
-
-/// splitmix64 — the same finalizer the shard seeder uses.
-#[cfg(feature = "chaos")]
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -72,6 +72,16 @@ use std::time::Duration;
 /// it.
 pub const RETRY_AFTER_SECS: u64 = 1;
 
+/// splitmix64 — the same finalizer the shard seeder uses. The client's
+/// retry jitter and the chaos plan's per-occurrence draws both hash
+/// through it.
+pub(crate) fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// Server knobs. `Default` is tuned for a laptop-scale deployment.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {

@@ -32,7 +32,7 @@ pub use lemma::lemmatize;
 pub use pos::{tag_tokens, Pos};
 pub use sentence::split_sentences;
 pub use stopwords::{is_insignificant_question_word, WordClass};
-pub use token::{SentId, Sentence, Token, TokenId};
+pub use token::{SentId, Sentence, Token};
 pub use tokenizer::tokenize;
 pub use vocab::Vocab;
 
@@ -142,11 +142,6 @@ impl Document {
     /// True if the document contains no tokens.
     pub fn is_empty(&self) -> bool {
         self.tokens.is_empty()
-    }
-
-    /// Lowercased token texts — the form used for lexical matching.
-    pub fn lower_texts(&self) -> Vec<String> {
-        self.tokens.iter().map(|t| t.text.to_lowercase()).collect()
     }
 }
 

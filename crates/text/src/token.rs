@@ -3,19 +3,9 @@
 use crate::pos::Pos;
 use std::fmt;
 
-/// Index of a token within a [`crate::Document`] (global, dense).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TokenId(pub usize);
-
 /// Index of a sentence within a [`crate::Document`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SentId(pub usize);
-
-impl fmt::Display for TokenId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t{}", self.0)
-    }
-}
 
 impl fmt::Display for SentId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -103,11 +93,6 @@ impl Sentence {
     pub fn is_empty(&self) -> bool {
         self.token_end == self.token_start
     }
-
-    /// Iterate over the global token indices the sentence covers.
-    pub fn token_ids(&self) -> impl Iterator<Item = TokenId> {
-        (self.token_start..self.token_end).map(TokenId)
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +115,7 @@ mod tests {
     }
 
     #[test]
-    fn sentence_token_ids() {
+    fn sentence_len() {
         let s = Sentence {
             index: 0,
             token_start: 3,
@@ -138,14 +123,11 @@ mod tests {
             char_start: 0,
             char_end: 0,
         };
-        let ids: Vec<_> = s.token_ids().collect();
-        assert_eq!(ids, vec![TokenId(3), TokenId(4), TokenId(5)]);
         assert_eq!(s.len(), 3);
     }
 
     #[test]
     fn display_formats() {
-        assert_eq!(TokenId(7).to_string(), "t7");
         assert_eq!(SentId(2).to_string(), "s2");
     }
 }

@@ -1045,7 +1045,7 @@ fn cmd_distill(args: &[String]) -> Result<ExitCode, String> {
     // either way (timings never reach the output).
     let (result, tree) = if profile.is_some() {
         gced_obs::set_enabled(true);
-        fitted.distill_traced(&question, &answer, &context)
+        gced_obs::capture("distill", || fitted.distill(&question, &answer, &context))
     } else {
         (fitted.distill(&question, &answer, &context), None)
     };
