@@ -12,8 +12,8 @@
 //! * the `parse_document` parent array of every context, which covers
 //!   every sentence of the corpus.
 //!
-//! Separately, the smoke-scale seed-42 `table3`, `reduction` and
-//! `ablation` reports are pinned: the bytes `gced run <experiment>
+//! Separately, the smoke-scale seed-42 SQuAD-1.1 report of every
+//! `gced run` experiment is pinned: the bytes `gced run <experiment>
 //! --scale smoke --seed 42 --out PATH` writes.
 //!
 //! A moved digest is a behaviour change. Do not re-baseline it to make a
@@ -21,7 +21,7 @@
 
 use gced::Gced;
 use gced_datasets::{DatasetKind, ShardSpec};
-use gced_eval::shard::load_or_fit;
+use gced_eval::shard::{load_or_fit, EXPERIMENTS};
 use gced_eval::{merge, run_shard, Scale};
 use gced_serve::wire::{render_distillation_with_id, render_error};
 use gced_text::Pos;
@@ -35,11 +35,17 @@ const RUNON_DISTILL: u64 = 0x066c_b4a0_60e1_acba;
 const PARSE_PARENTS: u64 = 0x996f_523d_0b4b_988e;
 
 /// Golden digests of the smoke-scale, seed-42 SQuAD-1.1 experiment
-/// reports, recorded before the Eq. 8 encode path was deleted.
+/// reports. `table3`, `reduction` and `ablation` were recorded before
+/// the Eq. 8 encode path was deleted; the other four before the
+/// whole-table runners were folded onto the shard path.
 const TABLE_REPORTS: &[(&str, u64)] = &[
     ("table3", 0x3d42_d665_ca31_6723),
     ("reduction", 0x83d5_33cb_5d0e_5f7a),
+    ("human_eval", 0x71d9_5ffa_7395_e7cc),
+    ("agreement", 0xda77_2969_d669_836e),
+    ("qa_augmentation", 0x4c20_d504_d276_98aa),
     ("ablation", 0x57a8_4257_4e1f_7fc2),
+    ("degradation", 0x1e53_2259_0810_5ac0),
 ];
 
 /// (question, answer, context): single run-on sentences of coordinated
@@ -344,6 +350,8 @@ fn parse_parents_match_golden_digest() {
 
 #[test]
 fn table_reports_match_golden_digests() {
+    let pinned: Vec<&str> = TABLE_REPORTS.iter().map(|&(e, _)| e).collect();
+    assert_eq!(pinned, EXPERIMENTS, "every experiment is pinned, in order");
     let got: Vec<(&str, u64)> = TABLE_REPORTS
         .iter()
         .map(|&(experiment, _)| {
