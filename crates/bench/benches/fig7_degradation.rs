@@ -1,58 +1,25 @@
 //! Figure 7: performance degradation of QA models augmented by
 //! predicted-answer-based evidences, for δ ∈ {0.2, 0.5, 0.8, 1.0}
 //! substitution of ground-truth answers, across all four datasets
-//! (a: SQuAD-1.1, b: SQuAD-2.0, c: TriviaQA-Web, d: TriviaQA-Wiki).
+//! (a: SQuAD-1.1, b: SQuAD-2.0, c: TriviaQA-Web, d: TriviaQA-Wiki) —
+//! the `degradation` report of each.
 //!
 //! The paper's shape: curves decline gently with δ; SQuAD models lose
 //! only ~2-3 % at δ = 1, TriviaQA models lose more because their
 //! baseline predictions are worse.
 
-use gced_bench::{finish, prepare_context, start};
+use gced_bench::{finish, print_reports, start};
 use gced_datasets::DatasetKind;
-use gced_eval::experiments;
-use gced_eval::tables::TextTable;
-use gced_qa::zoo;
 
 fn main() {
     let (scale, seed, t0) = start(
         "fig7_degradation",
         "EM/F1 degradation vs predicted-answer substitution rate (Fig. 7)",
     );
-    // The same δ grid the sharded `degradation` experiment runs on.
-    let deltas = experiments::DEGRADATION_DELTAS;
-    for kind in DatasetKind::all() {
-        println!("\n--- {} ---", kind.name());
-        let ctx = prepare_context(kind, scale, seed);
-        let zoo = if kind.is_trivia() {
-            zoo::trivia_models()
-        } else {
-            zoo::squad_models()
-        };
-        let series = experiments::degradation(&ctx, &zoo, &deltas);
-        let mut table = TextTable::new(&[
-            "Model",
-            "gt",
-            "pred20",
-            "pred50",
-            "pred80",
-            "pred",
-            "drop@pred",
-        ]);
-        for s in &series {
-            let mut cells = vec![s.model.clone()];
-            for (_, em, f1) in &s.points {
-                cells.push(format!("{em:.1}/{f1:.1}"));
-            }
-            let drop = s.points[0].1 - s.points[4].1;
-            cells.push(format!("{drop:+.1} EM"));
-            table.row(cells);
-        }
-        println!("{}", table.render());
-        println!("TSV:\n{}", table.render_tsv());
-    }
+    print_reports("degradation", &DatasetKind::all(), scale, seed);
     println!(
-        "\n(cells are EM/F1; gt = ground-truth answers only, predX = X% predicted answers, \
-         matching Fig. 7's x-axis)"
+        "\n(delta = 0 is the ground-truth point, delta = X the X-fraction of predicted \
+         answers, matching Fig. 7's x-axis; paper: SQuAD loses only ~2-3% at delta = 1)"
     );
     finish(t0);
 }

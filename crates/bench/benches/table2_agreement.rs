@@ -1,51 +1,31 @@
 //! Table II: inter-rater agreement (Krippendorff's α) per group and
-//! criterion, over evidences distilled from ground-truth answers on the
-//! SQuAD-style dataset. Also prints the Table I rubric the raters apply.
+//! criterion, over a pooled mixed-quality evidence set on SQuAD-1.1 —
+//! the `agreement` report plus the paper's α. Also prints the Table I
+//! rubric the raters apply.
 
-use gced_bench::{finish, prepare_context, start};
+use gced_bench::{finish, print_paper_table, print_reports, start};
 use gced_datasets::DatasetKind;
-use gced_eval::experiments;
-use gced_eval::tables::{score, TextTable};
-use gced_qa::zoo;
+use gced_eval::tables::score;
+
+/// Paper Table II α per group, in the report's column order (I, C, R,
+/// Hybrid).
+const PAPER_ALPHA: [[f64; 4]; 3] = [
+    [0.77, 0.83, 0.82, 0.81],
+    [0.81, 0.80, 0.77, 0.79],
+    [0.76, 0.75, 0.81, 0.78],
+];
 
 fn main() {
     let (scale, seed, t0) = start("table2_agreement", "Krippendorff's alpha per rater group");
     println!("\n{}", gced_eval::rubric::render_table1());
-
-    let ctx = prepare_context(DatasetKind::Squad11, scale, seed);
-    // Rate a pooled, mixed-quality set (gt + weak-model predicted +
-    // ASE-ablated evidences), matching the paper's pooled protocol.
-    let outcome = experiments::agreement_study(&ctx, &zoo::squad_models()[0], scale);
-
-    let mut table = TextTable::new(&["Criteria", "Group 1", "Group 2", "Group 3"]);
-    let labels = [
-        "Informativeness",
-        "Conciseness",
-        "Readability",
-        "Hybrid Score",
-    ];
-    let paper = [
-        [0.77, 0.81, 0.76],
-        [0.83, 0.80, 0.75],
-        [0.82, 0.77, 0.81],
-        [0.81, 0.79, 0.78],
-    ];
-    for (c_idx, label) in labels.iter().enumerate() {
-        let mut cells = vec![label.to_string()];
-        for (g, paper_cell) in paper[c_idx].iter().enumerate() {
-            let a = outcome.alpha.get(g).and_then(|row| row[c_idx]);
-            cells.push(match a {
-                Some(a) => format!("{} (paper {})", score(a), score(*paper_cell)),
-                None => "n/a".to_string(),
-            });
-        }
-        table.row(cells);
-    }
-    println!("{}", table.render());
-    println!(
-        "items rated: {}, discarded by the <0.7 agreement filter: {}",
-        outcome.rated, outcome.discarded
+    print_reports("agreement", &[DatasetKind::Squad11], scale, seed);
+    print_paper_table(
+        &["Group", "alpha I", "alpha C", "alpha R", "alpha Hybrid"],
+        PAPER_ALPHA.iter().enumerate().map(|(g, alphas)| {
+            let mut cells = vec![format!("Group {}", g + 1)];
+            cells.extend(alphas.iter().map(|&a| score(a)));
+            cells
+        }),
     );
-    println!("\nTSV:\n{}", table.render_tsv());
     finish(t0);
 }

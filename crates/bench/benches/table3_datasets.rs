@@ -1,51 +1,14 @@
-//! Table III: dataset statistics. Prints the paper's split sizes, the
-//! scaled sizes this run generates, and measured corpus properties
-//! (context length, answerable rate) that drive the other experiments.
+//! Table III: dataset statistics — the `table3` report: the paper's
+//! split sizes, the scaled sizes this run generates, and measured corpus
+//! properties (context length, answerable rate) that drive the other
+//! experiments.
 
-use gced_bench::{finish, start};
-use gced_datasets::{generate, DatasetKind, GeneratorConfig};
-use gced_eval::tables::TextTable;
+use gced_bench::{finish, print_reports, start};
+use gced_datasets::DatasetKind;
 
 fn main() {
     let (scale, seed, t0) = start("table3_datasets", "dataset statistics (Table III)");
-    let mut table = TextTable::new(&[
-        "Dataset",
-        "Paper Train",
-        "Paper Dev",
-        "Gen Train",
-        "Gen Dev",
-        "Ctx words",
-        "Answerable",
-    ]);
-    for kind in DatasetKind::all() {
-        let (pt, pd) = kind.paper_sizes();
-        let ds = generate(
-            kind,
-            GeneratorConfig {
-                train: scale.train,
-                dev: scale.dev,
-                seed,
-            },
-        );
-        let answerable = ds
-            .train
-            .examples
-            .iter()
-            .chain(&ds.dev.examples)
-            .filter(|e| e.answerable)
-            .count() as f64
-            / (ds.train.len() + ds.dev.len()) as f64;
-        table.row(vec![
-            kind.name().to_string(),
-            pt.to_string(),
-            pd.to_string(),
-            ds.train.len().to_string(),
-            ds.dev.len().to_string(),
-            format!("{:.0}", ds.mean_context_words()),
-            format!("{:.0}%", answerable * 100.0),
-        ]);
-    }
-    println!("\n{}", table.render());
-    println!("TSV:\n{}", table.render_tsv());
+    // Table III covers every dataset kind; the report ignores `kind`.
+    print_reports("table3", &[DatasetKind::Squad11], scale, seed);
     finish(t0);
 }

@@ -3,11 +3,8 @@
 //! (I/C/R/H per baseline model + the ground-truth row), plus the
 //! Sec. IV-D1 word-reduction statistic (paper: 78.5 % on SQuAD).
 
-use gced_bench::{finish, prepare_context, start};
+use gced_bench::{finish, human_eval_tables, start};
 use gced_datasets::DatasetKind;
-use gced_eval::experiments;
-use gced_eval::tables::{score, TextTable};
-use gced_qa::zoo;
 
 /// Paper Table IV hybrid scores (SQuAD-1.1, SQuAD-2.0) per row.
 const PAPER_H: [(f64, f64); 10] = [
@@ -28,38 +25,12 @@ fn main() {
         "table4_human_squad",
         "human evaluation of distilled evidences on SQuAD (Table IV)",
     );
-    let zoo = zoo::squad_models();
-    for (v_idx, kind) in [DatasetKind::Squad11, DatasetKind::Squad20]
-        .into_iter()
-        .enumerate()
-    {
-        println!("\n--- {} ---", kind.name());
-        let ctx = prepare_context(kind, scale, seed);
-        let rows = experiments::human_eval(&ctx, &zoo, scale);
-        let mut table = TextTable::new(&["Source", "I", "C", "R", "H", "paper H", "reduction"]);
-        for (i, r) in rows.iter().enumerate() {
-            let paper = if v_idx == 0 {
-                PAPER_H[i].0
-            } else {
-                PAPER_H[i].1
-            };
-            table.row(vec![
-                r.source.clone(),
-                score(r.outcome.informativeness),
-                score(r.outcome.conciseness),
-                score(r.outcome.readability),
-                score(r.outcome.hybrid),
-                score(paper),
-                format!("{:.1}%", r.word_reduction * 100.0),
-            ]);
-        }
-        println!("{}", table.render());
-        println!(
-            "mean gt word reduction on {}: {:.1}% (paper: 78.5% on SQuAD)",
-            kind.name(),
-            ctx.mean_word_reduction() * 100.0
-        );
-        println!("TSV:\n{}", table.render_tsv());
-    }
+    human_eval_tables(
+        [DatasetKind::Squad11, DatasetKind::Squad20],
+        &PAPER_H,
+        "78.5% on SQuAD",
+        scale,
+        seed,
+    );
     finish(t0);
 }

@@ -2,11 +2,8 @@
 //! TriviaQA-Wiki (I/C/R/H per baseline + ground truth), plus the larger
 //! word-reduction the paper reports for TriviaQA (87.2 %).
 
-use gced_bench::{finish, prepare_context, start};
+use gced_bench::{finish, human_eval_tables, start};
 use gced_datasets::DatasetKind;
-use gced_eval::experiments;
-use gced_eval::tables::{score, TextTable};
-use gced_qa::zoo;
 
 /// Paper Table V hybrid scores (TriviaQA-Web, TriviaQA-Wiki) per row.
 const PAPER_H: [(f64, f64); 10] = [
@@ -27,38 +24,12 @@ fn main() {
         "table5_human_trivia",
         "human evaluation of distilled evidences on TriviaQA (Table V)",
     );
-    let zoo = zoo::trivia_models();
-    for (v_idx, kind) in [DatasetKind::TriviaWeb, DatasetKind::TriviaWiki]
-        .into_iter()
-        .enumerate()
-    {
-        println!("\n--- {} ---", kind.name());
-        let ctx = prepare_context(kind, scale, seed);
-        let rows = experiments::human_eval(&ctx, &zoo, scale);
-        let mut table = TextTable::new(&["Source", "I", "C", "R", "H", "paper H", "reduction"]);
-        for (i, r) in rows.iter().enumerate() {
-            let paper = if v_idx == 0 {
-                PAPER_H[i].0
-            } else {
-                PAPER_H[i].1
-            };
-            table.row(vec![
-                r.source.clone(),
-                score(r.outcome.informativeness),
-                score(r.outcome.conciseness),
-                score(r.outcome.readability),
-                score(r.outcome.hybrid),
-                score(paper),
-                format!("{:.1}%", r.word_reduction * 100.0),
-            ]);
-        }
-        println!("{}", table.render());
-        println!(
-            "mean gt word reduction on {}: {:.1}% (paper: 87.2% on TriviaQA)",
-            kind.name(),
-            ctx.mean_word_reduction() * 100.0
-        );
-        println!("TSV:\n{}", table.render_tsv());
-    }
+    human_eval_tables(
+        [DatasetKind::TriviaWeb, DatasetKind::TriviaWiki],
+        &PAPER_H,
+        "87.2% on TriviaQA",
+        scale,
+        seed,
+    );
     finish(t0);
 }

@@ -3,58 +3,19 @@
 //! ground-truth answers; the +GCED models are retrained on evidence
 //! contexts and evaluated on evidence contexts, per Sec. IV-D2.
 
-use gced_bench::{finish, prepare_context, start};
+use gced_bench::{finish, qa_augmentation_tables, start};
 use gced_datasets::DatasetKind;
-use gced_eval::experiments;
-use gced_eval::tables::{pct, TextTable};
-use gced_qa::zoo;
 
 fn main() {
     let (scale, seed, t0) = start(
         "table6_qa_squad",
         "QA baselines vs +GCED on SQuAD (Table VI, ground-truth evidences)",
     );
-    let zoo = zoo::squad_models();
-    for kind in [DatasetKind::Squad11, DatasetKind::Squad20] {
-        println!("\n--- {} ---", kind.name());
-        let ctx = prepare_context(kind, scale, seed);
-        let rows = experiments::qa_augmentation(&ctx, &zoo);
-        let mut table = TextTable::new(&[
-            "Model",
-            "EM",
-            "F1",
-            "+GCED EM",
-            "+GCED F1",
-            "paper EM",
-            "paper F1",
-            "paper +EM",
-            "paper +F1",
-        ]);
-        let mut em_gains = Vec::new();
-        let mut f1_gains = Vec::new();
-        for r in &rows {
-            em_gains.push(r.gced.em - r.base.em);
-            f1_gains.push(r.gced.f1 - r.base.f1);
-            table.row(vec![
-                r.model.clone(),
-                pct(r.base.em),
-                pct(r.base.f1),
-                pct(r.gced.em),
-                pct(r.gced.f1),
-                pct(r.paper_base.0),
-                pct(r.paper_base.1),
-                pct(r.paper_gced.0),
-                pct(r.paper_gced.1),
-            ]);
-        }
-        println!("{}", table.render());
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        println!(
-            "mean gain: EM +{:.1}, F1 +{:.1}  (paper: EM +3.5-4.1%, F1 +1.5-4.2% relative)",
-            mean(&em_gains),
-            mean(&f1_gains)
-        );
-        println!("TSV:\n{}", table.render_tsv());
-    }
+    qa_augmentation_tables(
+        [DatasetKind::Squad11, DatasetKind::Squad20],
+        "EM +3.5-4.1%, F1 +1.5-4.2% relative",
+        scale,
+        seed,
+    );
     finish(t0);
 }

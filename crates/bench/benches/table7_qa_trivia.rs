@@ -1,60 +1,23 @@
 //! Table VII: nine TriviaQA baselines vs. their +GCED variants on
 //! TriviaQA-Web and TriviaQA-Wiki. The paper's key shape here: gains are
-//! several times larger than on SQuAD (avg +18.2/+14.6 on Web,
-//! +19.3/+15.0 on Wiki) because TriviaQA contexts are long and noisy.
+//! several times larger than on SQuAD (avg relative EM/F1 gains of
+//! +18.2/+14.6 % on Web, +19.3/+15.0 % on Wiki) because TriviaQA
+//! contexts are long and noisy.
 
-use gced_bench::{finish, prepare_context, start};
+use gced_bench::{finish, qa_augmentation_tables, start};
 use gced_datasets::DatasetKind;
-use gced_eval::experiments;
-use gced_eval::tables::{pct, TextTable};
-use gced_qa::zoo;
 
 fn main() {
     let (scale, seed, t0) = start(
         "table7_qa_trivia",
         "QA baselines vs +GCED on TriviaQA (Table VII, ground-truth evidences)",
     );
-    let zoo = zoo::trivia_models();
-    for kind in [DatasetKind::TriviaWeb, DatasetKind::TriviaWiki] {
-        println!("\n--- {} ---", kind.name());
-        let ctx = prepare_context(kind, scale, seed);
-        let rows = experiments::qa_augmentation(&ctx, &zoo);
-        let mut table = TextTable::new(&[
-            "Model",
-            "EM",
-            "F1",
-            "+GCED EM",
-            "+GCED F1",
-            "paper EM",
-            "paper F1",
-            "paper +EM",
-            "paper +F1",
-        ]);
-        let mut em_gains = Vec::new();
-        let mut f1_gains = Vec::new();
-        for r in &rows {
-            em_gains.push(r.gced.em - r.base.em);
-            f1_gains.push(r.gced.f1 - r.base.f1);
-            table.row(vec![
-                r.model.clone(),
-                pct(r.base.em),
-                pct(r.base.f1),
-                pct(r.gced.em),
-                pct(r.gced.f1),
-                pct(r.paper_base.0),
-                pct(r.paper_base.1),
-                pct(r.paper_gced.0),
-                pct(r.paper_gced.1),
-            ]);
-        }
-        println!("{}", table.render());
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        println!(
-            "mean gain: EM +{:.1}, F1 +{:.1}  (paper: ~+13-16 EM absolute — far larger than SQuAD)",
-            mean(&em_gains),
-            mean(&f1_gains)
-        );
-        println!("TSV:\n{}", table.render_tsv());
-    }
+    qa_augmentation_tables(
+        [DatasetKind::TriviaWeb, DatasetKind::TriviaWiki],
+        "EM +18.2%, F1 +14.6% relative on Web; EM +19.3%, F1 +15.0% on Wiki — far larger \
+         than SQuAD",
+        scale,
+        seed,
+    );
     finish(t0);
 }

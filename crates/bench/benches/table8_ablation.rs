@@ -1,23 +1,24 @@
 //! Table VIII: component ablation (BERT + ground-truth evidences on
-//! SQuAD-2.0): human-evaluation I/C/R/H plus EM/F1 for each knocked-out
-//! component vs. the full system.
+//! SQuAD-2.0) — the `ablation` report: human-evaluation I/C/R/H plus
+//! EM/F1 for each knocked-out component vs. the full system, then the
+//! paper's rows.
 //!
 //! Extended design-choice ablations beyond the paper's table (DESIGN.md
-//! §4): grow-order (max-attention vs index-order), clip protection
-//! (forest-protected vs unrestricted), the clip-count M sweep, and the
-//! Eq. 5 weight sweep that justifies the default (α, β, γ).
+//! §4), produced only here: grow-order (max-attention vs index-order),
+//! clip protection (forest-protected vs unrestricted), the clip-count M
+//! sweep, and the Eq. 5 weight sweep that justifies the default
+//! (α, β, γ).
 
 use gced::{ClipMode, GcedConfig};
-use gced_bench::{finish, prepare_context, start};
+use gced_bench::{finish, fitted, print_paper_table, print_reports, start};
 use gced_datasets::DatasetKind;
-use gced_eval::experiments;
+use gced_eval::experiments::{ablation_variants, rated_pool, ExperimentContext};
 use gced_eval::raters::RatedItem;
 use gced_eval::tables::{pct, score, TextTable};
 use gced_eval::RatingProtocol;
-use gced_qa::zoo;
 
 /// Paper Table VIII rows (I, C, R, H, EM, F1), ending with the full
-/// system, in the same order as our runner output.
+/// system, in the report's row order.
 const PAPER: [(f64, f64, f64, f64, f64, f64); 8] = [
     (0.85, 0.65, 0.80, 0.77, 72.0, 78.2), // w/o ASE
     (0.67, 0.79, 0.77, 0.74, 70.2, 76.5), // w/o QWS
@@ -34,142 +35,98 @@ fn main() {
         "table8_ablation",
         "GCED component ablation (Table VIII, BERT on SQuAD-2.0)",
     );
-    let ctx = prepare_context(DatasetKind::Squad20, scale, seed);
-    let bert = &zoo::squad_models()[0];
-
-    let rows = experiments::ablation(&ctx, bert, scale);
-    let mut table = TextTable::new(&[
-        "Sources", "I", "C", "R", "H", "EM", "F1", "paper H", "paper EM",
-    ]);
-    for (i, r) in rows.iter().enumerate() {
-        table.row(vec![
-            r.label.clone(),
-            score(r.outcome.informativeness),
-            score(r.outcome.conciseness),
-            score(r.outcome.readability),
-            score(r.outcome.hybrid),
-            pct(r.em),
-            pct(r.f1),
-            score(PAPER[i].3),
-            pct(PAPER[i].4),
-        ]);
-    }
-    println!("\n{}", table.render());
-    println!("TSV:\n{}", table.render_tsv());
+    let kind = DatasetKind::Squad20;
+    print_reports("ablation", &[kind], scale, seed);
+    print_paper_table(
+        &["Sources", "I", "C", "R", "H", "EM", "F1"],
+        ablation_variants()
+            .into_iter()
+            .zip(PAPER)
+            .map(|((label, _), (i, c, r, h, em, f1))| {
+                vec![
+                    label,
+                    score(i),
+                    score(c),
+                    score(r),
+                    score(h),
+                    pct(em),
+                    pct(f1),
+                ]
+            }),
+    );
 
     // ---- extended design ablations -------------------------------------
     println!("\n--- design-choice ablations (beyond the paper's table) ---");
+    // Every variant distills the rated pool itself: no gt cache needed.
+    let ctx = ExperimentContext::prepare_fitted(
+        kind,
+        scale,
+        seed,
+        Some(fitted(kind, scale, seed)),
+        None,
+        None,
+    );
     let protocol = RatingProtocol::paper(seed);
-    let sample: Vec<&gced_datasets::QaExample> = ctx
-        .dataset
-        .dev
-        .examples
-        .iter()
-        .filter(|e| e.answerable)
-        .take(scale.rated)
-        .collect();
-
-    let mut design = TextTable::new(&["Variant", "I", "C", "R", "H", "mean tokens"]);
-    let variants: Vec<(&str, GcedConfig)> = vec![
+    let sample = rated_pool(&ctx, scale);
+    let base = GcedConfig {
+        seed,
+        ..GcedConfig::default()
+    };
+    let mut variants: Vec<(String, GcedConfig)> = vec![
+        ("max-attention grow (default)".into(), base.clone()),
         (
-            "max-attention grow (default)",
-            GcedConfig {
-                seed,
-                ..GcedConfig::default()
-            },
-        ),
-        (
-            "index-order grow",
+            "index-order grow".into(),
             GcedConfig {
                 grow_max_attention: false,
-                seed,
-                ..GcedConfig::default()
+                ..base.clone()
             },
         ),
         (
-            "unprotected clip",
+            "unprotected clip".into(),
             GcedConfig {
                 clip_protect_forest: false,
-                seed,
-                ..GcedConfig::default()
-            },
-        ),
-        (
-            "M=0 (no clip)",
-            GcedConfig {
-                clip: ClipMode::Fixed(0),
-                seed,
-                ..GcedConfig::default()
-            },
-        ),
-        (
-            "M=1",
-            GcedConfig {
-                clip: ClipMode::Fixed(1),
-                seed,
-                ..GcedConfig::default()
-            },
-        ),
-        (
-            "M=2",
-            GcedConfig {
-                clip: ClipMode::Fixed(2),
-                seed,
-                ..GcedConfig::default()
-            },
-        ),
-        (
-            "M=4",
-            GcedConfig {
-                clip: ClipMode::Fixed(4),
-                seed,
-                ..GcedConfig::default()
-            },
-        ),
-        (
-            "M=8",
-            GcedConfig {
-                clip: ClipMode::Fixed(8),
-                seed,
-                ..GcedConfig::default()
-            },
-        ),
-        (
-            "weights a=.8 b=.1 g=.1",
-            GcedConfig {
-                alpha: 0.8,
-                beta: 0.1,
-                gamma: 0.1,
-                seed,
-                ..GcedConfig::default()
-            },
-        ),
-        (
-            "weights a=.2 b=.2 g=.6",
-            GcedConfig {
-                alpha: 0.2,
-                beta: 0.2,
-                gamma: 0.6,
-                seed,
-                ..GcedConfig::default()
-            },
-        ),
-        (
-            "weights a=.33 b=.33 g=.33",
-            GcedConfig {
-                alpha: 1.0 / 3.0,
-                beta: 1.0 / 3.0,
-                gamma: 1.0 / 3.0,
-                seed,
-                ..GcedConfig::default()
+                ..base.clone()
             },
         ),
     ];
+    for m in [0, 1, 2, 4, 8] {
+        let label = if m == 0 {
+            "M=0 (no clip)".to_string()
+        } else {
+            format!("M={m}")
+        };
+        let clip = ClipMode::Fixed(m);
+        variants.push((
+            label,
+            GcedConfig {
+                clip,
+                ..base.clone()
+            },
+        ));
+    }
+    for (label, (alpha, beta, gamma)) in [
+        ("weights a=.8 b=.1 g=.1", (0.8, 0.1, 0.1)),
+        ("weights a=.2 b=.2 g=.6", (0.2, 0.2, 0.6)),
+        (
+            "weights a=.33 b=.33 g=.33",
+            (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
+        ),
+    ] {
+        let cfg = GcedConfig {
+            alpha,
+            beta,
+            gamma,
+            ..base.clone()
+        };
+        variants.push((label.to_string(), cfg));
+    }
+
+    let mut design = TextTable::new(&["Variant", "I", "C", "R", "H", "mean tokens"]);
     for (label, cfg) in variants {
         let pipeline = ctx.gced.clone().with_config(cfg);
         let mut items = Vec::new();
         let mut tokens = Vec::new();
-        for ex in &sample {
+        for &(_, ex) in &sample {
             if let Ok(d) = pipeline.distill(&ex.question, &ex.answer, &ex.context) {
                 items.push(RatedItem::from_distillation(
                     format!("{label}-{}", ex.id),
@@ -182,7 +139,7 @@ fn main() {
         let out = protocol.run(&items);
         let mean_tokens = tokens.iter().sum::<f64>() / tokens.len().max(1) as f64;
         design.row(vec![
-            label.to_string(),
+            label,
             score(out.informativeness),
             score(out.conciseness),
             score(out.readability),

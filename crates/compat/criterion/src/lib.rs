@@ -54,6 +54,8 @@ pub struct Criterion {
     warm_up_time: Duration,
     test_mode: bool,
     filter: Option<String>,
+    /// Where result JSONs go; `None` resolves [`bench_out_dir`].
+    out_dir: Option<PathBuf>,
     results: Vec<BenchResult>,
 }
 
@@ -65,6 +67,7 @@ impl Default for Criterion {
             warm_up_time: Duration::from_millis(500),
             test_mode: false,
             filter: None,
+            out_dir: None,
             results: Vec::new(),
         }
     }
@@ -148,7 +151,8 @@ impl Criterion {
             median_ns,
             samples: samples_ns.len(),
         };
-        write_result_json(&result);
+        let dir = self.out_dir.clone().unwrap_or_else(bench_out_dir);
+        write_result_json(&dir, &result);
         self.results.push(result);
     }
 
@@ -235,9 +239,8 @@ fn bench_out_dir() -> PathBuf {
     }
 }
 
-fn write_result_json(r: &BenchResult) {
-    let dir = bench_out_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
+fn write_result_json(dir: &std::path::Path, r: &BenchResult) {
+    if std::fs::create_dir_all(dir).is_err() {
         return;
     }
     let file: String = r
@@ -293,15 +296,25 @@ mod tests {
 
     #[test]
     fn median_protocol_runs() {
-        let mut c = Criterion::default()
-            .sample_size(5)
-            .measurement_time(Duration::from_millis(20))
-            .warm_up_time(Duration::from_millis(5));
+        // A directory of its own: the shared workspace results dir is
+        // what `gced bench-check` reads, and a test result there would
+        // show up as a stray row.
+        let dir = std::env::temp_dir().join(format!("gced-criterion-test-{}", std::process::id()));
+        let mut c = Criterion {
+            out_dir: Some(dir.clone()),
+            ..Criterion::default()
+        }
+        .sample_size(5)
+        .measurement_time(Duration::from_millis(20))
+        .warm_up_time(Duration::from_millis(5));
         c.bench_function("smoke/add", |b| {
             b.iter(|| black_box(1u64) + black_box(2u64))
         });
         assert_eq!(c.results().len(), 1);
         assert!(c.results()[0].median_ns > 0.0);
+        let json = std::fs::read_to_string(dir.join("smoke_add.json"));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(json.unwrap().contains("\"name\": \"smoke/add\""));
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Experiment runners for every table and figure of the paper.
+//! Per-item experiment runners: one table row, one rated pool, one
+//! curve point at a time. [`crate::shard`] composes them into every
+//! table and figure of the paper (Tables II–VIII, Fig. 7).
 //!
 //! The expensive artifacts (fitted pipeline, ground-truth-based evidence
-//! caches) live in an [`ExperimentContext`] so the Table IV/V/VI/VII and
-//! Fig. 7 runners can share them; per-model artifacts (predicted-answer
-//! evidences) are built inside each runner.
+//! caches) live in an [`ExperimentContext`] so the rows of one run share
+//! them; per-model artifacts (predicted-answer evidences) are built by
+//! the caller once per model.
 
 use crate::protocol::{HumanEvalOutcome, RatingProtocol};
 use crate::raters::RatedItem;
@@ -35,45 +37,27 @@ impl ExperimentContext {
     /// Generate the dataset, fit the pipeline, and distill the
     /// ground-truth evidence caches.
     pub fn prepare(kind: DatasetKind, scale: Scale, seed: u64) -> Self {
-        Self::prepare_shard(kind, scale, seed, ShardSpec::single())
+        let all = Some(ShardSpec::single());
+        Self::prepare_fitted(kind, scale, seed, None, all, all)
     }
 
-    /// [`ExperimentContext::prepare`] for one shard of a dataset-level
-    /// run: the dataset is generated in full and the pipeline is fitted
-    /// in full (both seeded by `seed`, so every shard holds identical
-    /// shared artifacts), but the expensive ground-truth evidence caches
-    /// are distilled only for the examples in `shard`'s contiguous range
-    /// of each split — the dominant `prepare` cost scales down by the
-    /// shard count. Entries outside the shard stay `None`.
-    ///
-    /// Because each example's distillation is deterministic and
-    /// independent, the union of all shards' caches is element-wise
-    /// identical to the single-process [`ExperimentContext::prepare`].
-    pub fn prepare_shard(kind: DatasetKind, scale: Scale, seed: u64, shard: ShardSpec) -> Self {
-        Self::prepare_with(kind, scale, seed, Some(shard), Some(shard))
-    }
-
-    /// The general form: shard the train and dev ground-truth caches
-    /// independently, with `None` skipping a split's cache entirely
-    /// (all entries `None`). Experiments that never read one cache —
-    /// the dev-only word-reduction runner, for instance — avoid paying
-    /// for it.
-    pub fn prepare_with(
-        kind: DatasetKind,
-        scale: Scale,
-        seed: u64,
-        train_shard: Option<ShardSpec>,
-        dev_shard: Option<ShardSpec>,
-    ) -> Self {
-        Self::prepare_fitted(kind, scale, seed, None, train_shard, dev_shard)
-    }
-
-    /// [`ExperimentContext::prepare_with`] around an already-fitted
-    /// pipeline (the shared fit cache: shard workers decode one
-    /// serialized fit instead of re-fitting identical state). The
-    /// caller guarantees `gced` was fitted on exactly the dataset that
+    /// The general form. `gced` is an already-fitted pipeline (the
+    /// shared fit cache: shard workers decode one serialized fit instead
+    /// of re-fitting identical state), or `None` to fit fresh; the
+    /// caller guarantees it was fitted on exactly the dataset that
     /// `(kind, scale, seed)` generates — the fit-cache fingerprint
-    /// enforces this on the CLI path. `None` fits fresh.
+    /// enforces this on the CLI path.
+    ///
+    /// The dataset is generated in full and the pipeline fitted in full
+    /// (both seeded by `seed`, so every shard holds identical shared
+    /// artifacts), but each ground-truth evidence cache is distilled
+    /// only for the examples in its shard's contiguous range; entries
+    /// outside it stay `None`, and a `None` shard skips that split's
+    /// cache entirely (experiments that never read one cache avoid
+    /// paying for it). Because each example's distillation is
+    /// deterministic and independent, the union of all shards' caches is
+    /// element-wise identical to the single-process
+    /// [`ExperimentContext::prepare`].
     pub fn prepare_fitted(
         kind: DatasetKind,
         scale: Scale,
@@ -256,14 +240,15 @@ pub struct HumanEvalRow {
     pub word_reduction: f64,
 }
 
-/// The first `scale.rated` answerable dev examples — the pool every
-/// rating-based experiment draws from.
-pub fn rated_pool(ctx: &ExperimentContext, scale: Scale) -> Vec<&QaExample> {
+/// The first `scale.rated` answerable dev examples, each with its dev
+/// index — the pool every rating-based experiment draws from.
+pub fn rated_pool(ctx: &ExperimentContext, scale: Scale) -> Vec<(usize, &QaExample)> {
     ctx.dataset
         .dev
         .examples
         .iter()
-        .filter(|e| e.answerable)
+        .enumerate()
+        .filter(|(_, e)| e.answerable)
         .take(scale.rated)
         .collect()
 }
@@ -282,7 +267,7 @@ pub fn human_eval_model_row(
     model.train(&ctx.dataset.train.examples);
     let mut items = Vec::new();
     let mut reductions = Vec::new();
-    for ex in rated_pool(ctx, scale) {
+    for (_, ex) in rated_pool(ctx, scale) {
         let pred = model.predict(&ex.question, &ex.context);
         if pred.text.trim().is_empty() {
             continue;
@@ -310,14 +295,7 @@ pub fn human_eval_gt_row(ctx: &ExperimentContext, scale: Scale) -> HumanEvalRow 
     let protocol = RatingProtocol::paper(ctx.seed);
     let mut items = Vec::new();
     let mut reductions = Vec::new();
-    for ex in rated_pool(ctx, scale) {
-        let idx = ctx
-            .dataset
-            .dev
-            .examples
-            .iter()
-            .position(|e| e.id == ex.id)
-            .expect("from dev");
+    for (idx, ex) in rated_pool(ctx, scale) {
         if let Some(d) = &ctx.gt_dev[idx] {
             items.push(RatedItem::from_distillation(
                 format!("gt-{}", ex.id),
@@ -334,18 +312,6 @@ pub fn human_eval_gt_row(ctx: &ExperimentContext, scale: Scale) -> HumanEvalRow 
     }
 }
 
-/// Run the Table IV/V experiment: for each baseline model, distill
-/// evidences from its predicted answers and rate them; the final row
-/// rates ground-truth-answer-based evidences.
-pub fn human_eval(ctx: &ExperimentContext, zoo: &[ZooEntry], scale: Scale) -> Vec<HumanEvalRow> {
-    let mut rows: Vec<HumanEvalRow> = zoo
-        .iter()
-        .map(|entry| human_eval_model_row(ctx, entry, scale))
-        .collect();
-    rows.push(human_eval_gt_row(ctx, scale));
-    rows
-}
-
 /// The Table II agreement study: rate a pooled set of evidences of
 /// genuinely mixed quality — ground-truth-based, predicted-answer-based
 /// (weak model), and ASE-ablated (noisier) — so Krippendorff's α is
@@ -360,25 +326,18 @@ pub fn agreement_study(
     protocol.run(&agreement_items(ctx, weak_model, scale))
 }
 
-/// The pooled mixed-quality [`RatedItem`] set of the agreement study —
-/// deterministic shared input for both the monolithic
-/// [`agreement_study`] and the per-group sharded runner.
+/// The pooled mixed-quality [`RatedItem`] set [`agreement_study`]
+/// rates — a deterministic function of the context, so every shard of
+/// the per-group agreement run rebuilds it identically.
 pub fn agreement_items(
     ctx: &ExperimentContext,
     weak_model: &ZooEntry,
     scale: Scale,
 ) -> Vec<RatedItem> {
-    let pool: Vec<&QaExample> = rated_pool(ctx, scale);
+    let pool = rated_pool(ctx, scale);
     let mut items = Vec::new();
     // Source 1: ground-truth evidences (high quality).
-    for ex in &pool {
-        let idx = ctx
-            .dataset
-            .dev
-            .examples
-            .iter()
-            .position(|e| e.id == ex.id)
-            .expect("dev");
+    for &(idx, ex) in &pool {
         if let Some(d) = &ctx.gt_dev[idx] {
             items.push(RatedItem::from_distillation(
                 format!("agt-{}", ex.id),
@@ -390,7 +349,7 @@ pub fn agreement_items(
     // Source 2: predicted-answer evidences from a weak baseline (mixed).
     let mut model = QaModel::new(weak_model.profile.clone());
     model.train(&ctx.dataset.train.examples);
-    for ex in &pool {
+    for &(_, ex) in &pool {
         let pred = model.predict(&ex.question, &ex.context);
         if pred.text.trim().is_empty() {
             continue;
@@ -409,7 +368,7 @@ pub fn agreement_items(
         seed: ctx.seed,
         ..GcedConfig::default()
     });
-    for ex in pool.iter().take(scale.rated / 2) {
+    for &(_, ex) in pool.iter().take(scale.rated / 2) {
         if let Ok(d) = no_ase.distill(&ex.question, &ex.answer, &ex.context) {
             items.push(RatedItem::from_distillation(
                 format!("ana-{}", ex.id),
@@ -424,14 +383,7 @@ pub fn agreement_items(
     // rater pools encounter whenever the system fails; without them α
     // over informativeness degenerates (no item variance).
     for w in pool.windows(2).take(scale.rated / 2) {
-        let (ex_i, ex_j) = (w[0], w[1]);
-        let idx = ctx
-            .dataset
-            .dev
-            .examples
-            .iter()
-            .position(|e| e.id == ex_i.id)
-            .expect("dev");
+        let ((idx, ex_i), (_, ex_j)) = (w[0], w[1]);
         if let Some(d) = &ctx.gt_dev[idx] {
             let pred = ctx.gced.qa_model().predict(&ex_j.question, &d.evidence);
             let inference_f1 = gced_metrics::overlap::token_f1(&pred.text, &ex_j.answer).f1;
@@ -543,15 +495,6 @@ pub fn qa_augmentation_row(
     }
 }
 
-/// Run the Table VI/VII experiment for every zoo model.
-pub fn qa_augmentation(ctx: &ExperimentContext, zoo: &[ZooEntry]) -> Vec<QaRow> {
-    let ev_train = ctx.evidence_train();
-    let ev_dev = ctx.evidence_dev();
-    zoo.iter()
-        .map(|entry| qa_augmentation_row(ctx, entry, &ev_train, &ev_dev))
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // Table VIII: ablation study
 // ---------------------------------------------------------------------------
@@ -622,27 +565,9 @@ pub fn ablation_row(
     }
 }
 
-/// Run the Table VIII ablation: BERT profile, ground-truth evidences,
-/// one row per knocked-out component plus the full system.
-pub fn ablation(ctx: &ExperimentContext, bert: &ZooEntry, scale: Scale) -> Vec<AblationRow> {
-    ablation_variants()
-        .into_iter()
-        .map(|(label, ablation)| ablation_row(ctx, bert, scale, &label, ablation))
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // Figure 7: degradation under predicted-answer substitution
 // ---------------------------------------------------------------------------
-
-/// One model's degradation curve.
-#[derive(Debug, Clone)]
-pub struct DegradationSeries {
-    pub model: String,
-    /// (δ, EM, F1) per substitution rate; δ = 0 is the ground-truth
-    /// point ("gt" in Fig. 7).
-    pub points: Vec<(f64, f64, f64)>,
-}
 
 /// The canonical Fig. 7 substitution rates (δ = 0 is the ground-truth
 /// point) — the column axis of the sharded `degradation` grid.
@@ -709,30 +634,6 @@ pub fn degradation_point(
     m.train(&train);
     let e = m.evaluate(&dev);
     (delta, e.em, e.f1)
-}
-
-/// Run the Fig. 7 experiment: substitute a δ-fraction of ground-truth
-/// answers with each model's predicted answers before distillation,
-/// retrain on the mixed evidences, and evaluate against the gold
-/// answers.
-pub fn degradation(
-    ctx: &ExperimentContext,
-    zoo: &[ZooEntry],
-    deltas: &[f64],
-) -> Vec<DegradationSeries> {
-    zoo.iter()
-        .map(|entry| {
-            let pred = predicted_evidences(ctx, entry);
-            let points = deltas
-                .iter()
-                .map(|&delta| degradation_point(ctx, entry, &pred, delta))
-                .collect();
-            DegradationSeries {
-                model: entry.profile.name.clone(),
-                points,
-            }
-        })
-        .collect()
 }
 
 fn predict_answers(model: &QaModel, examples: &[QaExample]) -> Vec<String> {
@@ -819,8 +720,11 @@ mod tests {
     #[test]
     fn qa_augmentation_improves_models() {
         let c = ctx();
-        let zoo = &gced_qa::zoo::squad_models()[..2];
-        let rows = qa_augmentation(c, zoo);
+        let (ev_train, ev_dev) = (c.evidence_train(), c.evidence_dev());
+        let rows: Vec<QaRow> = gced_qa::zoo::squad_models()[..2]
+            .iter()
+            .map(|entry| qa_augmentation_row(c, entry, &ev_train, &ev_dev))
+            .collect();
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(
@@ -838,8 +742,11 @@ mod tests {
     #[test]
     fn human_eval_produces_rows_with_gt_last() {
         let c = ctx();
-        let zoo = &gced_qa::zoo::squad_models()[..1];
-        let rows = human_eval(c, zoo, Scale::smoke());
+        let mut rows: Vec<HumanEvalRow> = gced_qa::zoo::squad_models()[..1]
+            .iter()
+            .map(|entry| human_eval_model_row(c, entry, Scale::smoke()))
+            .collect();
+        rows.push(human_eval_gt_row(c, Scale::smoke()));
         assert_eq!(rows.len(), 2);
         assert_eq!(rows.last().unwrap().source, "Ground-truth");
         for r in &rows {
@@ -856,12 +763,16 @@ mod tests {
     #[test]
     fn degradation_points_cover_deltas() {
         let c = ctx();
-        let zoo = &gced_qa::zoo::squad_models()[..1];
-        let series = degradation(c, zoo, &[0.0, 1.0]);
-        assert_eq!(series.len(), 1);
-        assert_eq!(series[0].points.len(), 2);
-        let em0 = series[0].points[0].1;
-        let em1 = series[0].points[1].1;
+        let entry = &gced_qa::zoo::squad_models()[0];
+        let pred = predicted_evidences(c, entry);
+        let points: Vec<(f64, f64, f64)> = [0.0, 1.0]
+            .iter()
+            .map(|&delta| degradation_point(c, entry, &pred, delta))
+            .collect();
+        assert_eq!(points.len(), 2);
+        assert_eq!((points[0].0, points[1].0), (0.0, 1.0));
+        let em0 = points[0].1;
+        let em1 = points[1].1;
         assert!(
             em1 <= em0 + 10.0,
             "full substitution should not beat gt by much: {em0} -> {em1}"

@@ -10,11 +10,13 @@
 //! * [`protocol`] — the evaluation protocol: per-group Krippendorff's α
 //!   (Table II), the < 0.7 per-item agreement filter, group averaging;
 //! * [`scale`] — experiment sizing via the `GCED_SCALE` env var;
-//! * [`experiments`] — runners regenerating Tables II–VIII and Fig. 7;
-//! * [`shard`] — dataset-level sharded runs of every experiment with
-//!   deterministic merge and a shared fit cache (the `gced` CLI's
-//!   backend);
-//! * [`tables`] — plain-text + TSV table rendering for the benches.
+//! * [`experiments`] — the per-item runners (one table row, one rated
+//!   pool, one Fig. 7 point) and the shared [`ExperimentContext`];
+//! * [`shard`] — the one reproduction path of Tables II–VIII and
+//!   Fig. 7: dataset-level sharded runs of every experiment with
+//!   deterministic merge and a shared fit cache (the backend of
+//!   `gced run` and of the table benches);
+//! * [`tables`] — plain-text + TSV table rendering.
 
 pub mod experiments;
 pub mod protocol;

@@ -123,7 +123,7 @@ pub fn scale_tag(scale: Scale) -> String {
 ///   split of `kind` (the Sec. IV-D1 word-reduction statistic); items
 ///   are dev examples, and each shard prepares only its slice of the
 ///   dev [`ExperimentContext`] cache via
-///   [`ExperimentContext::prepare_with`].
+///   [`ExperimentContext::prepare_fitted`].
 /// * `human_eval` — Tables IV/V; items are the baseline models of the
 ///   kind's zoo plus a final ground-truth row.
 /// * `agreement` — Table II; items are the three rater groups (each

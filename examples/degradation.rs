@@ -25,23 +25,25 @@ fn main() {
 
     // Two contrasting models: the weakest and one of the strongest.
     let squad = zoo::squad_models();
-    let models = vec![squad[0].clone(), squad[8].clone()];
-    let deltas = [0.0, 0.2, 0.5, 0.8, 1.0];
+    let models = [&squad[0], &squad[8]];
+    let deltas = experiments::DEGRADATION_DELTAS;
 
     println!("\nrunning δ sweep (0 = ground-truth answers only) ...\n");
-    let series = experiments::degradation(&ctx, &models, &deltas);
     println!(
         "{:<16} {}",
         "model",
         deltas.map(|d| format!("δ={d:<4}")).join("   ")
     );
-    for s in &series {
-        let row: Vec<String> = s
-            .points
+    for entry in models {
+        let pred = experiments::predicted_evidences(&ctx, entry);
+        let row: Vec<String> = deltas
             .iter()
-            .map(|(_, em, f1)| format!("{em:.0}/{f1:.0}"))
+            .map(|&delta| {
+                let (_, em, f1) = experiments::degradation_point(&ctx, entry, &pred, delta);
+                format!("{em:.0}/{f1:.0}")
+            })
             .collect();
-        println!("{:<16} {}", s.model, row.join("   "));
+        println!("{:<16} {}", entry.profile.name, row.join("   "));
     }
     println!("\n(cells are EM/F1; the paper's Fig. 7 shows the same gentle downward trend)");
 }

@@ -15,6 +15,8 @@
 //! Separately, the smoke-scale seed-42 SQuAD-1.1 report of every
 //! `gced run` experiment is pinned: the bytes `gced run <experiment>
 //! --scale smoke --seed 42 --out PATH` writes.
+//! Every digest depends on `std`'s `DefaultHasher`, so its output for
+//! one fixed input is pinned too.
 //!
 //! A moved digest is a behaviour change. Do not re-baseline it to make a
 //! refactor pass: find the change.
@@ -376,5 +378,26 @@ fn table_reports_match_golden_digests() {
         got.iter()
             .map(|(e, d)| format!("{e}={d:#018x}"))
             .collect::<Vec<_>>()
+    );
+}
+
+/// Every digest above depends on `std`'s `DefaultHasher` (the
+/// degradation coin, rater noise, the QA model and the embedding
+/// tables all seed from it), and `std` does not promise its algorithm
+/// across releases. Pin one `(u64, &str)` hash so a toolchain that
+/// moved it fails here, by name, instead of as a mystery digest move.
+#[test]
+fn default_hasher_output_is_pinned() {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+    let mut h = DefaultHasher::new();
+    SEED.hash(&mut h);
+    "squad11-dev-0007".hash(&mut h);
+    assert_eq!(
+        h.finish(),
+        0x4381_6b54_a09e_ac7e,
+        "std's DefaultHasher output moved: the Rust toolchain changed its hash algorithm, \
+         not this code. Every golden digest in this file is recorded under the old one; \
+         build with the toolchain that recorded them"
     );
 }

@@ -78,16 +78,25 @@ fn reduction_sharding_is_bit_identical_through_real_distillation() {
     assert!(!single.rows.is_empty(), "reduction produced no rows");
 }
 
-/// `ExperimentContext::prepare_shard` caches must union to the full
-/// `prepare` caches: identical entries inside each shard's range, `None`
-/// outside it.
+/// `ExperimentContext::prepare_fitted` caches sharded by one spec must
+/// union to the full `prepare` caches: identical entries inside each
+/// shard's range, `None` outside it.
 #[test]
 fn prepare_shard_caches_union_to_full_prepare() {
     let scale = Scale::smoke();
     let full = ExperimentContext::prepare(DatasetKind::Squad11, scale, 42);
     let shards: Vec<ExperimentContext> = ShardSpec::all(2)
         .into_iter()
-        .map(|s| ExperimentContext::prepare_shard(DatasetKind::Squad11, scale, 42, s))
+        .map(|s| {
+            ExperimentContext::prepare_fitted(
+                DatasetKind::Squad11,
+                scale,
+                42,
+                None,
+                Some(s),
+                Some(s),
+            )
+        })
         .collect();
     for (spec, ctx) in ShardSpec::all(2).into_iter().zip(&shards) {
         assert_eq!(ctx.dataset, full.dataset, "shared artifacts must match");
@@ -196,7 +205,7 @@ fn empty_shards_merge_cleanly_and_empty_means_are_zero() {
     assert_eq!(merge(&rewired).unwrap().render(), single3.render());
     // A context whose caches were skipped entirely reports 0.0 mean
     // word reduction (not NaN) — the empty-shard aggregate edge.
-    let ctx = ExperimentContext::prepare_with(DatasetKind::Squad11, scale, 42, None, None);
+    let ctx = ExperimentContext::prepare_fitted(DatasetKind::Squad11, scale, 42, None, None, None);
     let mean = ctx.mean_word_reduction();
     assert!(!mean.is_nan(), "mean_word_reduction must not be NaN");
     assert_eq!(mean, 0.0);
